@@ -3,7 +3,9 @@
 Every problem is a mean of N per-sample terms, f(x) = (1/N) sum_i f_i(x),
 with analytic gradients and (where available) a computable Lipschitz bound
 on the full gradient.  Summation is always in ascending index order so
-full-batch evaluation is bitwise reproducible.
+full-batch evaluation is bitwise reproducible.  The full oracles read the
+stored (C-ordered) data in place and give bitwise the same numbers as the
+sampled oracles on the index set {0..N-1}, which copy it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ def _check_point(x, n):
     return x
 
 
+#: index for "every sample": basic slicing, so the data is read in place
+ALL = slice(None)
+
+
+def _c_order(A):
+    """A in C order.  The full oracles read the stored matrix in place, the
+    sampled ones a C-ordered copy A[idx]; the same layout gives both the
+    same bits."""
+    return np.ascontiguousarray(A)
+
+
 def _check_indices(idx, N):
     idx = np.asarray(idx, dtype=int)
     if idx.size == 0:
@@ -75,7 +88,8 @@ class Problem:
 
     Subclasses set n, N, name and implement per-sample values/gradients
     through _values(x, idx) and _grad(x, idx); sampled quantities are the
-    mean over the index subset.
+    mean over the index subset.  idx is a sorted index array, or ALL for
+    the whole data set without a copy.
     """
 
     n: int
@@ -92,11 +106,11 @@ class Problem:
 
     def full_value(self, x):
         x = _check_point(x, self.n)
-        return float(np.mean(self._values(x, np.arange(self.N))))
+        return float(np.mean(self._values(x, ALL)))
 
     def full_grad(self, x):
         x = _check_point(x, self.n)
-        return self._grad(x, np.arange(self.N))
+        return self._grad(x, ALL)
 
     def sampled_value(self, x, idx):
         x = _check_point(x, self.n)
@@ -117,14 +131,16 @@ class LeastSquares(Problem):
     """f_i(x) = 1/2 (a_i^T x - b_i)^2."""
 
     def __init__(self, A, b, name="least_squares"):
-        self.A = np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        if self.A.shape[0] == 0:
+        if A.shape[0] == 0:
             raise ValueError("empty design matrix")
-        self.N, self.n = self.A.shape
+        self.N, self.n = A.shape
         self.name = name
-        # L = lambda_max(A^T A) / N, via power iteration
-        self.L_bound = _power_lmax(self.A) / self.N
+        # L = lambda_max(A^T A) / N, via power iteration on A as given (its
+        # last bit can depend on the memory layout)
+        self.L_bound = _power_lmax(A) / self.N
+        self.A = _c_order(A)
 
     def _values(self, x, idx):
         r = self.A[idx] @ x - self.b[idx]
@@ -133,24 +149,25 @@ class LeastSquares(Problem):
     def _grad(self, x, idx):
         Ai = self.A[idx]
         r = Ai @ x - self.b[idx]
-        return (Ai.T @ r) / idx.size
+        return (Ai.T @ r) / Ai.shape[0]
 
 
 class Logistic(Problem):
     """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}."""
 
     def __init__(self, A, y, name="logistic"):
-        self.A = np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        if self.A.shape[0] == 0:
+        if A.shape[0] == 0:
             raise ValueError("empty design matrix")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        self.N, self.n = self.A.shape
+        self.N, self.n = A.shape
         self.name = name
         self.labels = self.y
-        # sigmoid'(t) <= 1/4
-        self.L_bound = _power_lmax(self.A) / (4.0 * self.N)
+        # sigmoid'(t) <= 1/4; power iteration on A as given, as above
+        self.L_bound = _power_lmax(A) / (4.0 * self.N)
+        self.A = _c_order(A)
 
     def _values(self, x, idx):
         m = self.y[idx] * (self.A[idx] @ x)
@@ -161,7 +178,7 @@ class Logistic(Problem):
         m = self.y[idx] * (Ai @ x)
         # d/dm log(1+e^-m) = -sigmoid(-m)
         coef = -self.y[idx] * _sigmoid(-m)
-        return (Ai.T @ coef) / idx.size
+        return (Ai.T @ coef) / Ai.shape[0]
 
     def margins(self, x):
         return self.A @ np.asarray(x, dtype=float)
@@ -178,7 +195,7 @@ class TinyMLP(Problem):
 
     def __init__(self, features, targets, hidden, task="regression",
                  name="tiny_mlp"):
-        self.A = np.asarray(features, dtype=float)
+        self.A = _c_order(np.asarray(features, dtype=float))
         self.y = np.asarray(targets, dtype=float)
         if self.A.shape[0] == 0:
             raise ValueError("empty dataset")
@@ -220,7 +237,7 @@ class TinyMLP(Problem):
 
     def _grad(self, x, idx):
         A, T, w2, out = self._forward(x, idx)
-        m = idx.size
+        m = A.shape[0]
         if self.task == "regression":
             dout = out - self.y[idx]
         else:
@@ -236,8 +253,7 @@ class TinyMLP(Problem):
     def margins(self, x):
         if self.task != "classification":
             raise NotImplementedError("regression MLP has no classifier margins")
-        _, _, _, out = self._forward(np.asarray(x, dtype=float),
-                                     np.arange(self.N))
+        _, _, _, out = self._forward(np.asarray(x, dtype=float), ALL)
         return out
 
     def estimate_local_lipschitz(self, rng, radius=1.0, pairs=200, margin=2.0):

@@ -6,6 +6,13 @@ predicted decrease (rho), and accepts or rejects the step while adapting
 sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
+Full batch (batch == N, which the batch never leaves once it gets there):
+no sample is drawn and the RNG is left untouched; the full oracles are
+called; and f(x), the gradient and R(x) are kept while x is unchanged, so
+a rejected step only changes sigma, as in the deterministic R2.  Any full
+objective f(x) + R(x) (rho_mode="full", record_full_objective, the "full"
+assumption guard) is evaluated at most once per iterate in every mode.
+
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
 window is full and the mean falls below epsilon^2.
@@ -99,6 +106,41 @@ class SolverConfig:
         return self
 
 
+class _Point:
+    """A point with the values at it that do not depend on the sample:
+    R(x) and the full-batch f(x) and gradient, each computed on first use.
+    SolverState keeps the iterate's _Point while state.x is that same
+    array, so rejected steps reuse them; an accepted step replaces state.x
+    (it is never written in place) and with it the _Point."""
+
+    __slots__ = ("x", "_r", "_f", "_g")
+
+    def __init__(self, x):
+        self.x = x
+        self._r = self._f = self._g = None
+
+    def reg_value(self, reg):
+        if self._r is None:
+            self._r = reg_value(reg, self.x)
+        return self._r
+
+    def full_value(self, p):
+        if self._f is None:
+            self._f = p.full_value(self.x)
+        return self._f
+
+    def full_grad(self, p):
+        if self._g is None:
+            self._g = p.full_grad(self.x)
+        return self._g
+
+    def sampled_value(self, p, idx):
+        """f on the sample idx; None stands for the full batch."""
+        if idx is None:
+            return self.full_value(p)
+        return p.sampled_value(self.x, idx)
+
+
 @dataclass
 class SolverState:
     x: np.ndarray
@@ -111,6 +153,7 @@ class SolverState:
     very_successes: int = 0
     failures: int = 0
     assumption_rejections: int = 0
+    point: _Point | None = None  # cached values at x, see _Point
 
 
 @dataclass
@@ -184,25 +227,36 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     x = state.x
     sigma = state.sigma
     batch = min(state.batch_size, p.N)
-    idx = draw_sample(state.rng, p.N, batch)
-
-    g = p.sampled_grad(x, idx)
-    r_x = reg_value(reg, x)
-    f_before = p.sampled_value(x, idx)
+    at_x = state.point
+    if at_x is None or at_x.x is not x:
+        at_x = state.point = _Point(x)
+    if batch == p.N:
+        # the sample is {0..N-1}: no draw, and f, g at an unchanged x are
+        # reused from the rejected steps before
+        idx = None
+        g = at_x.full_grad(p)
+        f_before = at_x.full_value(p)
+    else:
+        idx = draw_sample(state.rng, p.N, batch)
+        g = p.sampled_grad(x, idx)
+        f_before = p.sampled_value(x, idx)
+    r_x = at_x.reg_value(reg)
     F_before = f_before + r_x
     step = shifted_prox(reg, x, g, sigma)
     s = step.s
     step_norm_sq = float(s @ s)
+    trial = _Point(x + s) if step_norm_sq > 0.0 else None
+    f_after = None  # f(x + s) on this step's sample
 
     assumption_rejected = False
     if cfg.assumption_check != "off" and step_norm_sq > 0.0:
         kappa = _resolve_kappa(cfg, p)
         if cfg.assumption_check == "full":
-            f_ref0 = p.full_value(x)
-            f_ref1 = p.full_value(x + s)
+            f_ref0 = at_x.full_value(p)
+            f_ref1 = trial.full_value(p)
         else:  # sampled-proxy: same-batch sampled objective
             f_ref0 = f_before
-            f_ref1 = p.sampled_value(x + s, idx)
+            f_ref1 = f_after = trial.sampled_value(p, idx)
         if abs(f_ref1 - f_ref0 - float(g @ s)) > kappa * step_norm_sq:
             assumption_rejected = True
             s = np.zeros_like(s)
@@ -215,11 +269,13 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         F_after = F_before
         delta_psi = 0.0
     else:
-        F_after = p.sampled_value(x + s, idx) + step.reg_at_target
+        if f_after is None:
+            f_after = trial.sampled_value(p, idx)
+        F_after = f_after + step.reg_at_target
         delta_psi = step.model_decrease
         if cfg.rho_mode == "full":
-            delta_F = (p.full_value(x) + r_x) - (
-                p.full_value(x + s) + step.reg_at_target
+            delta_F = (at_x.full_value(p) + r_x) - (
+                trial.full_value(p) + step.reg_at_target
             )
         else:
             delta_F = F_before - F_after
@@ -239,10 +295,11 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
 
     F_full = None
     if cfg.rho_mode == "full" or cfg.record_full_objective:
-        F_full = p.full_value(x) + r_x
+        F_full = at_x.full_value(p) + r_x
 
     if accepted:
-        state.x = x + s
+        state.x = trial.x
+        state.point = trial
         state.window.append(step_norm_sq)
         if rho >= cfg.eta2:
             state.very_successes += 1

@@ -1,0 +1,237 @@
+"""Golden traces: sr2.run against a plain reference stepper.
+
+The reference below is the SR2 iteration written without any shortcut: it
+draws a sample every step (also at full batch), evaluates every quantity
+through the public, checked oracles and keeps nothing from one step to the
+next.  The solver's full-batch path (no draw, full oracles, values reused
+across rejected steps) must give bitwise the same trace and iterate.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from sr2kit.errors import NumericalFailureError
+from sr2kit.problems import LeastSquares, draw_sample, make_logistic
+from sr2kit.regularizers import L1, Zero, reg_value, shifted_prox
+from sr2kit.sr2 import (
+    SolverConfig,
+    SolverState,
+    _resolve_kappa,
+    run,
+    sr2_step,
+    stationarity_estimate,
+    update_sigma,
+)
+
+COLUMNS = ("sigma_used", "rho", "step_norm_sq", "accepted", "F_sampled_before",
+           "F_sampled_after", "F_full", "model_decrease", "batch_size",
+           "assumption_rejected", "nnz")
+
+
+def reference_step(p, reg, state, cfg):
+    """One SR2 iteration with no sampling shortcut and no cache; returns the
+    record as a dict of the compared columns."""
+    x = state.x
+    sigma = state.sigma
+    batch = min(state.batch_size, p.N)
+    idx = draw_sample(state.rng, p.N, batch)
+
+    g = p.sampled_grad(x, idx)
+    r_x = reg_value(reg, x)
+    F_before = p.sampled_value(x, idx) + r_x
+    step = shifted_prox(reg, x, g, sigma)
+    s = step.s
+    step_norm_sq = float(s @ s)
+
+    assumption_rejected = False
+    if cfg.assumption_check != "off" and step_norm_sq > 0.0:
+        kappa = _resolve_kappa(cfg, p)
+        if cfg.assumption_check == "full":
+            f_ref0 = p.full_value(x)
+            f_ref1 = p.full_value(x + s)
+        else:
+            f_ref0 = F_before - r_x
+            f_ref1 = p.sampled_value(x + s, idx)
+        if abs(f_ref1 - f_ref0 - float(g @ s)) > kappa * step_norm_sq:
+            assumption_rejected = True
+            s = np.zeros_like(s)
+            step_norm_sq = 0.0
+            state.batch_size = min(2 * state.batch_size, p.N)
+
+    if assumption_rejected or step_norm_sq == 0.0:
+        rho, accepted, F_after, delta_psi = 0.0, False, F_before, 0.0
+    else:
+        F_after = p.sampled_value(x + s, idx) + step.reg_at_target
+        delta_psi = step.model_decrease
+        if cfg.rho_mode == "full":
+            delta_F = (p.full_value(x) + r_x) - (
+                p.full_value(x + s) + step.reg_at_target)
+        else:
+            delta_F = F_before - F_after
+        if np.isnan(delta_F):
+            raise NumericalFailureError("non-finite sampled objective")
+        if (not np.isfinite(delta_F) or delta_psi == 0.0
+                or not np.isfinite(delta_psi)):
+            rho = 0.0
+        else:
+            rho = delta_F / delta_psi
+        accepted = rho >= cfg.eta1
+
+    F_full = None
+    if cfg.rho_mode == "full" or cfg.record_full_objective:
+        F_full = p.full_value(x) + r_x
+
+    if accepted:
+        state.x = x + s
+        state.window.append(step_norm_sq)
+    state.sigma = update_sigma(sigma, rho, cfg)
+    state.t += 1
+    return dict(sigma_used=sigma, rho=rho, step_norm_sq=step_norm_sq,
+                accepted=accepted, F_sampled_before=F_before,
+                F_sampled_after=F_after, F_full=F_full,
+                model_decrease=delta_psi, batch_size=batch,
+                assumption_rejected=assumption_rejected,
+                nnz=int(np.count_nonzero(state.x)))
+
+
+def reference_run(p, reg, x0, cfg):
+    state = SolverState(x=np.array(x0, dtype=float), sigma=cfg.sigma0, t=0,
+                        rng=np.random.default_rng(cfg.seed),
+                        batch_size=min(cfg.batch_size, p.N),
+                        window=deque(maxlen=cfg.window))
+    trace = []
+    for _ in range(cfg.max_iter):
+        trace.append(reference_step(p, reg, state, cfg))
+        est = stationarity_estimate(state)
+        if est is not None and est <= cfg.epsilon**2:
+            break
+    return state.x, trace
+
+
+def column(records, name):
+    values = [r[name] if isinstance(r, dict) else getattr(r, name)
+              for r in records]
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+def assert_same_trace(p, reg, x0, cfg):
+    """Run both steppers and compare bitwise; returns the package result."""
+    x_ref, ref = reference_run(p, reg, x0, cfg)
+    res = run(p, reg, x0, cfg)
+    assert len(res.trace) == len(ref)
+    assert res.x.tobytes() == x_ref.tobytes()
+    for name in COLUMNS:
+        got, want = column(res.trace, name), column(ref, name)
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert got.tobytes() == want.tobytes(), name
+    return res
+
+
+def lasso_c5(lasso_instance):
+    return LeastSquares(lasso_instance["A"], lasso_instance["b"])
+
+
+def test_full_batch_lasso_with_dead_state(lasso_instance):
+    # criterion-5 instance: sigma overflows to inf within a few hundred
+    # iterations, after which every step is a zero-step rejection
+    p = lasso_c5(lasso_instance)
+    cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-6, seed=0)
+    res = assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+    dead = sum(1 for r in res.trace if np.isinf(r.sigma_used))
+    assert dead >= 1000
+
+
+@pytest.mark.parametrize("rho_mode", ["sampled", "full"])
+@pytest.mark.parametrize("record", [False, True])
+def test_full_batch_lasso_full_objective(lasso_instance, rho_mode, record):
+    p = lasso_c5(lasso_instance)
+    cfg = SolverConfig(batch_size=p.N, max_iter=600, epsilon=1e-6, seed=0,
+                       rho_mode=rho_mode, record_full_objective=record)
+    assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+
+
+@pytest.mark.parametrize("rho_mode,record", [("sampled", False),
+                                             ("sampled", True),
+                                             ("full", False)])
+def test_logistic_batch_128(rho_mode, record):
+    p = make_logistic(np.random.default_rng(7), 2000, 50)
+    cfg = SolverConfig(batch_size=128, max_iter=300, seed=3,
+                       rho_mode=rho_mode, record_full_objective=record)
+    assert_same_trace(p, L1(1e-4), np.zeros(p.n), cfg)
+
+
+def guard_problem():
+    # the setup of test_sr2's test_assumption_guard_doubles_batch
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(64, 6)) * np.array([10, 1, 1, 1, 1, 0.1])
+    return LeastSquares(A, rng.normal(size=64))
+
+
+@pytest.mark.parametrize("check", ["full", "sampled-proxy"])
+def test_guard_switches_to_full_batch_mid_run(check):
+    p = guard_problem()
+    cfg = SolverConfig(batch_size=1, max_iter=200, seed=3,
+                       assumption_check=check, kappa_m=1e-4,
+                       record_full_objective=True)
+    res = assert_same_trace(p, Zero(), np.zeros(6), cfg)
+    sizes = [r.batch_size for r in res.trace]
+    assert sizes[0] < p.N and sizes[-1] == p.N
+    if check == "full":
+        assert sizes.index(p.N) == 6
+
+
+class CountingLeastSquares(LeastSquares):
+    def __init__(self, A, b):
+        super().__init__(A, b)
+        self.calls = dict.fromkeys(
+            ("full_grad", "full_value", "sampled_grad", "sampled_value"), 0)
+
+    def full_grad(self, x):
+        self.calls["full_grad"] += 1
+        return super().full_grad(x)
+
+    def full_value(self, x):
+        self.calls["full_value"] += 1
+        return super().full_value(x)
+
+    def sampled_grad(self, x, idx):
+        self.calls["sampled_grad"] += 1
+        return super().sampled_grad(x, idx)
+
+    def sampled_value(self, x, idx):
+        self.calls["sampled_value"] += 1
+        return super().sampled_value(x, idx)
+
+
+def test_full_batch_gradient_once_per_iterate(lasso_instance):
+    p = CountingLeastSquares(lasso_instance["A"], lasso_instance["b"])
+    cfg = SolverConfig(batch_size=p.N, max_iter=1500, epsilon=1e-6, seed=0)
+    res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+    accepted = sum(r.accepted for r in res.trace)
+    trials = sum(r.step_norm_sq > 0.0 for r in res.trace)
+    assert not res.trace[-1].accepted
+    assert len(res.trace) - accepted > 1000  # many rejections at one x
+    assert p.calls["full_grad"] == accepted + 1
+    # f at x0, then once per trial point x + s (which an accepted step keeps)
+    assert p.calls["full_value"] == 1 + trials
+    assert p.calls["sampled_grad"] == p.calls["sampled_value"] == 0
+    fresh = np.random.default_rng(cfg.seed).bit_generator.state
+    assert res.state.rng.bit_generator.state == fresh
+
+
+def test_rng_untouched_after_batch_reaches_n():
+    p = guard_problem()
+    cfg = SolverConfig(batch_size=1, max_iter=200, seed=3,
+                       assumption_check="full", kappa_m=1e-4).validated()
+    state = SolverState(x=np.zeros(6), sigma=cfg.sigma0, t=0,
+                        rng=np.random.default_rng(cfg.seed), batch_size=1,
+                        window=deque(maxlen=cfg.window))
+    while state.batch_size < p.N:
+        sr2_step(p, Zero(), state, cfg)
+    snapshot = state.rng.bit_generator.state
+    for _ in range(50):
+        rec = sr2_step(p, Zero(), state, cfg)
+        assert rec.batch_size == p.N
+    assert state.rng.bit_generator.state == snapshot

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr2kit.errors import ParseError
 from sr2kit.problems import (
     Dataset,
     LeastSquares,
     Logistic,
+    TinyMLP,
     check_gradient,
     draw_sample,
     load_csv,
@@ -91,14 +94,37 @@ class TestSampling:
             counts[draw_sample(rng, 6, 1)[0]] += 1
         assert np.all(np.abs(counts - 10_000) <= 400)
 
-    def test_full_batch_degeneracy_bitwise(self):
-        rng = np.random.default_rng(3)
-        p = make_least_squares(rng, 25, 4, 0.1)
-        x = rng.normal(size=4)
-        assert p.sampled_value(x, np.arange(25)) == p.full_value(x)
-        np.testing.assert_array_equal(
-            p.sampled_grad(x, np.arange(25)), p.full_grad(x)
-        )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["least_squares", "logistic", "mlp_regression",
+                              "mlp_classification"]),
+        N=st.integers(1, 40),
+        n=st.integers(1, 8),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_batch_degeneracy_bitwise(self, kind, N, n, layout, seed):
+        # the full oracles read the data in place; the sampled ones on
+        # {0..N-1} copy it.  Both must give the same bits for any layout
+        # of the input matrix.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(N, n + 1))
+        A = {"C": np.ascontiguousarray(data[:, :n]),
+             "F": np.asfortranarray(data[:, :n]),
+             "strided": data[:, :n]}[layout]
+        y = np.where(rng.normal(size=N) >= 0.0, 1.0, -1.0)
+        if kind == "least_squares":
+            p = LeastSquares(A, rng.normal(size=N))
+        elif kind == "logistic":
+            p = Logistic(A, y)
+        else:
+            task = kind.removeprefix("mlp_")
+            targets = y if task == "classification" else rng.normal(size=N)
+            p = TinyMLP(A, targets, hidden=int(rng.integers(1, 5)), task=task)
+        x = rng.normal(size=p.n)
+        everything = np.arange(N)
+        assert p.full_value(x) == p.sampled_value(x, everything)
+        assert np.array_equal(p.full_grad(x), p.sampled_grad(x, everything))
 
     def test_sampled_grad_unbiased(self):
         # Monte-Carlo mean over uniform single-index draws approaches the
