@@ -3,7 +3,9 @@ ProxSGD-style interpolated proximal SG, both with momentum and
 preconditioning disabled (identity metric, v_t = g_t).
 
 Neither method tests step quality: every step is taken, the batch size is
-fixed, and the step size follows the configured schedule.
+fixed, and the step size follows the configured schedule.  Each step
+builds one checked sample and gets f(x) and the gradient on it from one
+forward pass; the trace's f(x') is evaluated on that same sample.
 """
 
 from __future__ import annotations
@@ -52,30 +54,37 @@ class BaselineConfig:
         return self.alpha
 
 
+def _draw(p, x, rng, batch):
+    """A fresh sample, with f(x) and the gradient on it."""
+    sample = p.sample(draw_sample(rng, p.N, batch))
+    f, g = sample.value_and_grad(x)
+    return sample, f, g
+
+
 def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch):
-    """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s)."""
+    """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
+
+    Returns x', the prox step and (sample, f(x) on the sample)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    idx = draw_sample(rng, p.N, batch)
-    g = p.sampled_grad(x, idx)
+    sample, f, g = _draw(p, x, rng, batch)
     step = shifted_prox(reg, x, g, 1.0 / alpha)
-    return x + step.s, step, idx
+    return x + step.s, step, (sample, f)
 
 
 def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch):
     """Unit-quadratic subproblem followed by interpolation:
     s = argmin_s g^T s + (1/2)||s||^2 + R(x+s);  x' = x + alpha * s.
-    Only defined for convex regularizers."""
+    Only defined for convex regularizers.  Returns as proxgen_step."""
     if not reg.convex:
         raise UnsupportedRegularizerError(
             f"proxsgd requires a convex regularizer, got {reg}"
         )
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    idx = draw_sample(rng, p.N, batch)
-    g = p.sampled_grad(x, idx)
+    sample, f, g = _draw(p, x, rng, batch)
     step = shifted_prox(reg, x, g, 1.0)
-    return x + alpha * step.s, step, idx
+    return x + alpha * step.s, step, (sample, f)
 
 
 def _run_baseline(p, reg, x0, cfg, stepper):
@@ -84,16 +93,17 @@ def _run_baseline(p, reg, x0, cfg, stepper):
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, p.N)
     trace = []
+    r_x = reg_value(reg, x)
     for t in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         alpha = cfg.step_size(t)
-        x_new, step, idx = stepper(p, reg, x, alpha, rng, batch)
-        r_x = reg_value(reg, x)
-        F_before = p.sampled_value(x, idx) + r_x
-        F_after = p.sampled_value(x_new, idx) + reg_value(reg, x_new)
+        x_new, step, (sample, f) = stepper(p, reg, x, alpha, rng, batch)
+        r_new = reg_value(reg, x_new)
+        F_before = f + r_x
+        F_after = sample.value(x_new) + r_new
         s_eff = x_new - x
         F_full = p.full_value(x) + r_x if cfg.record_full_objective else None
-        x = x_new
+        x, r_x = x_new, r_new
         trace.append(IterationRecord(
             t=t,
             sigma_used=1.0 / alpha,

@@ -37,7 +37,19 @@ def _cmd_run(args):
                 f"stop={row['stop_reason']}"
             )
     print(f"summary written to {os.path.join(args.out, 'summary.json')}")
-    return 0
+    return 1 if any("error" in row for row in summary) else 0
+
+
+def _jobs(text):
+    """--jobs: an integer from 1 to the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise argparse.ArgumentTypeError(f"must be in [1, {cpus}], got {jobs}")
+    return jobs
 
 
 def _cmd_prune(args):
@@ -71,8 +83,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="execute an experiment matrix")
     p_run.add_argument("--config", required=True, help="YAML experiment config")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="max parallel cells (default 1)")
+    p_run.add_argument("--jobs", type=_jobs, default=1,
+                       help="max parallel cells, 1 to the CPU count (default 1)")
     p_run.add_argument("--dry-run", action="store_true",
                        help="list planned cells without running")
     p_run.add_argument("--seed-override", type=int, default=None,

@@ -323,16 +323,34 @@ def _prune_sweep(p, x, thresholds):
     return rows
 
 
-def _cell_job(args):
-    spec, p, solver, reg, seed, max_iter, out_dir = args
+def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
+    """Run one cell and write its outputs; returns (cell, summary row).  A
+    failing cell gives an error row, in a pool worker as in the parent."""
     cell = f"{solver}_{_reg_tag(reg)}_s{seed}"
-    result = _run_cell(spec, p, solver, reg, seed, max_iter)
-    write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
-    save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
-    sweep = _prune_sweep(p, result.x, spec.prune_thresholds)
-    emit_plot_data(out_dir, cell, result.trace, sweep)
-    row = _summary_row(p, spec, solver, reg, seed, result, sweep)
+    try:
+        result = _run_cell(spec, p, solver, reg, seed, max_iter)
+        write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
+        save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
+        sweep = _prune_sweep(p, result.x, spec.prune_thresholds)
+        emit_plot_data(out_dir, cell, result.trace, sweep)
+        row = _summary_row(p, spec, solver, reg, seed, result, sweep)
+    except Exception as exc:  # record, keep going
+        row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
+               "error": str(exc)}
     return cell, row
+
+
+# (spec, problem) of a pool worker, set once per worker by _init_worker
+_worker_state = None
+
+
+def _init_worker(spec, p):
+    global _worker_state
+    _worker_state = (spec, p)
+
+
+def _worker_cell_job(cell_args):
+    return _cell_job(*_worker_state, *cell_args)
 
 
 def _summary_row(p, spec, solver, reg, seed, result, sweep):
@@ -393,25 +411,17 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
     else:
         max_iter = 1000
 
-    jobs_args = [
-        (spec, p, solver, reg, seed, max_iter, out_dir)
-        for solver, reg, seed in plan_cells(spec)
-    ]
+    cells = [(solver, reg, seed, max_iter, out_dir)
+             for solver, reg, seed in plan_cells(spec)]
     summary = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_job, jobs_args))
+        # the problem goes to each worker once (inherited as is under fork),
+        # not pickled with every cell
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(spec, p)) as pool:
+            results = list(pool.map(_worker_cell_job, cells))
     else:
-        results = []
-        for args in jobs_args:
-            try:
-                results.append(_cell_job(args))
-            except Exception as exc:  # record, keep going
-                cell = f"{args[2]}_{_reg_tag(args[3])}_s{args[4]}"
-                results.append((cell, {"solver": args[2],
-                                       "reg": _reg_tag(args[3]),
-                                       "seed": args[4],
-                                       "error": str(exc)}))
+        results = [_cell_job(spec, p, *cell) for cell in cells]
     for cell, row in results:
         row["cell"] = cell
         summary.append(row)

@@ -3,9 +3,16 @@
 Every problem is a mean of N per-sample terms, f(x) = (1/N) sum_i f_i(x),
 with analytic gradients and (where available) a computable Lipschitz bound
 on the full gradient.  Summation is always in ascending index order so
-full-batch evaluation is bitwise reproducible.  The full oracles read the
-stored (C-ordered) data in place and give bitwise the same numbers as the
-sampled oracles on the index set {0..N-1}, which copy it.
+full-batch evaluation is bitwise reproducible.
+
+Evaluation has one path.  Problem.sample(idx) checks the index set once
+and gathers its rows once; the Sample's value and gradient at x both come
+from one forward pass (the residual, the margin, or the network's hidden
+layer and output), and every evaluation checks x.  sample(ALL) is the
+whole data set, read in place with no copy; the stored data is C-ordered,
+so it gives bitwise the same numbers as the index set {0..N-1}, which is
+copied.  full_value/full_grad/sampled_value/sampled_grad are thin checked
+wrappers over this path.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .errors import ParseError
 __all__ = [
     "Dataset",
     "Problem",
+    "Sample",
+    "ALL",
     "LeastSquares",
     "Logistic",
     "TinyMLP",
@@ -73,23 +82,26 @@ def _c_order(A):
 
 
 def _check_indices(idx, N):
-    idx = np.asarray(idx, dtype=int)
+    """idx as a sorted index array; rejects an empty, out-of-range or
+    repeated index set.  One sort serves all three checks."""
+    idx = np.sort(np.asarray(idx, dtype=int), axis=None)
     if idx.size == 0:
         raise ValueError("empty sample set")
-    if idx.min() < 0 or idx.max() >= N:
+    if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(f"sample indices out of range [0, {N})")
-    if np.unique(idx).size != idx.size:
+    if (idx[1:] == idx[:-1]).any():
         raise ValueError("sample indices must be unique")
-    return np.sort(idx)
+    return idx
 
 
 class Problem:
     """Finite-sum objective interface.
 
-    Subclasses set n, N, name and implement per-sample values/gradients
-    through _values(x, idx) and _grad(x, idx); sampled quantities are the
-    mean over the index subset.  idx is a sorted index array, or ALL for
-    the whole data set without a copy.
+    Subclasses set n, N, name and write their math once:
+    _rows(idx) gathers the data rows of idx, _forward(x, rows) is the
+    forward pass, and _loss(fwd, rows) and _backward(fwd, rows) give the
+    per-sample losses and the mean gradient from it.  idx is a checked,
+    sorted index array, or ALL for the whole data set without a copy.
     """
 
     n: int
@@ -98,33 +110,72 @@ class Problem:
     L_bound: float | None = None
     labels: np.ndarray | None = None  # classification targets, +/-1
 
-    def _values(self, x, idx):
+    def _rows(self, idx):
         raise NotImplementedError
 
-    def _grad(self, x, idx):
+    def _forward(self, x, rows):
         raise NotImplementedError
+
+    def _loss(self, fwd, rows):
+        raise NotImplementedError
+
+    def _backward(self, fwd, rows):
+        raise NotImplementedError
+
+    def sample(self, idx):
+        """The terms on the index set idx (ALL: every term), checked and
+        gathered once."""
+        if idx is not ALL:
+            idx = _check_indices(idx, self.N)
+        return Sample(self, self._rows(idx))
 
     def full_value(self, x):
-        x = _check_point(x, self.n)
-        return float(np.mean(self._values(x, ALL)))
+        return self.sample(ALL).value(x)
 
     def full_grad(self, x):
-        x = _check_point(x, self.n)
-        return self._grad(x, ALL)
+        return self.sample(ALL).grad(x)
 
     def sampled_value(self, x, idx):
-        x = _check_point(x, self.n)
-        idx = _check_indices(idx, self.N)
-        return float(np.mean(self._values(x, idx)))
+        return self.sample(idx).value(x)
 
     def sampled_grad(self, x, idx):
-        x = _check_point(x, self.n)
-        idx = _check_indices(idx, self.N)
-        return self._grad(x, idx)
+        return self.sample(idx).grad(x)
 
     def margins(self, x):
         """Per-sample real-valued prediction scores (classification only)."""
         raise NotImplementedError(f"{self.name} has no classifier margins")
+
+
+class Sample:
+    """The mean of a problem's terms over one checked index set, whose data
+    rows are gathered once.  x is checked at every evaluation; value and
+    gradient at one x come from one forward pass."""
+
+    __slots__ = ("problem", "rows")
+
+    def __init__(self, problem, rows):
+        self.problem = problem
+        self.rows = rows
+
+    def forward(self, x):
+        """The forward pass at x, which value_of and grad_of read."""
+        return self.problem._forward(_check_point(x, self.problem.n), self.rows)
+
+    def value_of(self, fwd):
+        return float(self.problem._loss(fwd, self.rows).mean())
+
+    def grad_of(self, fwd):
+        return self.problem._backward(fwd, self.rows)
+
+    def value(self, x):
+        return self.value_of(self.forward(x))
+
+    def grad(self, x):
+        return self.grad_of(self.forward(x))
+
+    def value_and_grad(self, x):
+        fwd = self.forward(x)
+        return self.value_of(fwd), self.grad_of(fwd)
 
 
 class LeastSquares(Problem):
@@ -142,13 +193,18 @@ class LeastSquares(Problem):
         self.L_bound = _power_lmax(A) / self.N
         self.A = _c_order(A)
 
-    def _values(self, x, idx):
-        r = self.A[idx] @ x - self.b[idx]
+    def _rows(self, idx):
+        return self.A[idx], self.b[idx]
+
+    def _forward(self, x, rows):
+        Ai, bi = rows
+        return Ai @ x - bi  # residual
+
+    def _loss(self, r, rows):
         return 0.5 * r**2
 
-    def _grad(self, x, idx):
-        Ai = self.A[idx]
-        r = Ai @ x - self.b[idx]
+    def _backward(self, r, rows):
+        Ai = rows[0]
         return (Ai.T @ r) / Ai.shape[0]
 
 
@@ -169,15 +225,20 @@ class Logistic(Problem):
         self.L_bound = _power_lmax(A) / (4.0 * self.N)
         self.A = _c_order(A)
 
-    def _values(self, x, idx):
-        m = self.y[idx] * (self.A[idx] @ x)
+    def _rows(self, idx):
+        return self.A[idx], self.y[idx]
+
+    def _forward(self, x, rows):
+        Ai, yi = rows
+        return yi * (Ai @ x)  # margin
+
+    def _loss(self, m, rows):
         return np.logaddexp(0.0, -m)
 
-    def _grad(self, x, idx):
-        Ai = self.A[idx]
-        m = self.y[idx] * (Ai @ x)
+    def _backward(self, m, rows):
+        Ai, yi = rows
         # d/dm log(1+e^-m) = -sigmoid(-m)
-        coef = -self.y[idx] * _sigmoid(-m)
+        coef = -yi * _sigmoid(-m)
         return (Ai.T @ coef) / Ai.shape[0]
 
     def margins(self, x):
@@ -222,39 +283,40 @@ class TinyMLP(Problem):
         b2 = x[-1]
         return W1, b1, w2, b2
 
-    def _forward(self, x, idx):
+    def _rows(self, idx):
+        return self.A[idx], self.y[idx]
+
+    def _forward(self, x, rows):
         W1, b1, w2, b2 = self._unpack(x)
-        A = self.A[idx]
-        T = np.tanh(A @ W1.T + b1)     # [m, h]
-        out = T @ w2 + b2              # [m]
-        return A, T, w2, out
+        T = np.tanh(rows[0] @ W1.T + b1)   # [m, h]
+        out = T @ w2 + b2                  # [m]
+        return T, w2, out
 
-    def _values(self, x, idx):
-        _, _, _, out = self._forward(x, idx)
+    def _loss(self, fwd, rows):
+        out, yi = fwd[2], rows[1]
         if self.task == "regression":
-            return 0.5 * (out - self.y[idx]) ** 2
-        return np.logaddexp(0.0, -self.y[idx] * out)
+            return 0.5 * (out - yi) ** 2
+        return np.logaddexp(0.0, -yi * out)
 
-    def _grad(self, x, idx):
-        A, T, w2, out = self._forward(x, idx)
-        m = A.shape[0]
+    def _backward(self, fwd, rows):
+        T, w2, out = fwd
+        Ai, yi = rows
+        m = Ai.shape[0]
         if self.task == "regression":
-            dout = out - self.y[idx]
+            dout = out - yi
         else:
-            yi = self.y[idx]
             dout = -yi * _sigmoid(-yi * out)
         dw2 = T.T @ dout / m
         db2 = np.sum(dout) / m
         dT = np.outer(dout, w2) * (1.0 - T**2)   # [m, h]
-        dW1 = dT.T @ A / m
+        dW1 = dT.T @ Ai / m
         db1 = np.sum(dT, axis=0) / m
         return np.concatenate([dW1.ravel(), db1, dw2, [db2]])
 
     def margins(self, x):
         if self.task != "classification":
             raise NotImplementedError("regression MLP has no classifier margins")
-        _, _, _, out = self._forward(np.asarray(x, dtype=float), ALL)
-        return out
+        return self._forward(np.asarray(x, dtype=float), self._rows(ALL))[2]
 
     def estimate_local_lipschitz(self, rng, radius=1.0, pairs=200, margin=2.0):
         """Randomized local estimate of the gradient Lipschitz constant on
@@ -274,12 +336,9 @@ class TinyMLP(Problem):
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e^-t), from e = e^-|t| <= 1 so that nothing overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _power_lmax(A, iters=200, tol=1e-12, seed=0):
@@ -328,8 +387,11 @@ def make_logistic(rng, N, n, separation=1.0):
     w /= np.linalg.norm(w)
     A = rng.normal(size=(N, n))
     y = np.where(A @ w >= 0.0, 1.0, -1.0)
-    # push each class away from the separating hyperplane
-    A = A + separation * np.outer(y, w)
+    # push each class away from the separating hyperplane:
+    # a_i += separation * y_i * w with y_i = +/-1, in place (no N x n temporary)
+    shift = separation * w
+    np.add(A, shift, out=A, where=(y > 0.0)[:, None])
+    np.subtract(A, shift, out=A, where=(y < 0.0)[:, None])
     return Logistic(A, y, name=f"logistic(N={N},n={n})")
 
 

@@ -6,12 +6,19 @@ predicted decrease (rho), and accepts or rejects the step while adapting
 sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
+Minibatch: each step builds one checked sample (one index check, one
+gather of its rows); f(x) and the gradient on it come from one forward
+pass, and f(x + s) on the same sample costs one more forward pass.
+
 Full batch (batch == N, which the batch never leaves once it gets there):
-no sample is drawn and the RNG is left untouched; the full oracles are
-called; and f(x), the gradient and R(x) are kept while x is unchanged, so
-a rejected step only changes sigma, as in the deterministic R2.  Any full
-objective f(x) + R(x) (rho_mode="full", record_full_objective, the "full"
-assumption guard) is evaluated at most once per iterate in every mode.
+no sample is drawn and the RNG is left untouched; the data set is read in
+place; and the forward pass, f(x), the gradient and R(x) are kept while x
+is unchanged, so a rejected step only changes sigma, as in the
+deterministic R2.  The forward pass computed for f(x + s) is kept with the
+trial point, so an accepted point's gradient needs no second forward pass.
+Any full objective f(x) + R(x) (rho_mode="full", record_full_objective,
+the "full" assumption guard) is evaluated at most once per iterate in
+every mode.
 
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailureError
-from .problems import draw_sample
+from .problems import ALL, draw_sample
 from .regularizers import Regularizer, reg_value, shifted_prox
 
 __all__ = [
@@ -108,37 +115,45 @@ class SolverConfig:
 
 class _Point:
     """A point with the values at it that do not depend on the sample:
-    R(x) and the full-batch f(x) and gradient, each computed on first use.
-    SolverState keeps the iterate's _Point while state.x is that same
-    array, so rejected steps reuse them; an accepted step replaces state.x
-    (it is never written in place) and with it the _Point."""
+    R(x) and the full-batch forward pass, f(x) and gradient, each computed
+    on first use.  SolverState keeps the iterate's _Point while state.x is
+    that same array, so rejected steps reuse them; an accepted step
+    replaces state.x (it is never written in place) and with it the
+    _Point."""
 
-    __slots__ = ("x", "_r", "_f", "_g")
+    __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
     def __init__(self, x):
         self.x = x
-        self._r = self._f = self._g = None
+        self._r = self._fwd = self._f = self._g = None
 
     def reg_value(self, reg):
         if self._r is None:
             self._r = reg_value(reg, self.x)
         return self._r
 
+    def _forward(self, full):
+        if self._fwd is None:
+            self._fwd = full.forward(self.x)
+        return self._fwd
+
     def full_value(self, p):
         if self._f is None:
-            self._f = p.full_value(self.x)
+            full = p.sample(ALL)
+            self._f = full.value_of(self._forward(full))
         return self._f
 
     def full_grad(self, p):
         if self._g is None:
-            self._g = p.full_grad(self.x)
+            full = p.sample(ALL)
+            self._g = full.grad_of(self._forward(full))
         return self._g
 
-    def sampled_value(self, p, idx):
-        """f on the sample idx; None stands for the full batch."""
-        if idx is None:
+    def value_on(self, p, sample):
+        """f on the sample; None stands for the full batch."""
+        if sample is None:
             return self.full_value(p)
-        return p.sampled_value(self.x, idx)
+        return sample.value(self.x)
 
 
 @dataclass
@@ -233,13 +248,12 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     if batch == p.N:
         # the sample is {0..N-1}: no draw, and f, g at an unchanged x are
         # reused from the rejected steps before
-        idx = None
+        sample = None
         g = at_x.full_grad(p)
         f_before = at_x.full_value(p)
     else:
-        idx = draw_sample(state.rng, p.N, batch)
-        g = p.sampled_grad(x, idx)
-        f_before = p.sampled_value(x, idx)
+        sample = p.sample(draw_sample(state.rng, p.N, batch))
+        f_before, g = sample.value_and_grad(x)
     r_x = at_x.reg_value(reg)
     F_before = f_before + r_x
     step = shifted_prox(reg, x, g, sigma)
@@ -256,7 +270,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             f_ref1 = trial.full_value(p)
         else:  # sampled-proxy: same-batch sampled objective
             f_ref0 = f_before
-            f_ref1 = f_after = trial.sampled_value(p, idx)
+            f_ref1 = f_after = trial.value_on(p, sample)
         if abs(f_ref1 - f_ref0 - float(g @ s)) > kappa * step_norm_sq:
             assumption_rejected = True
             s = np.zeros_like(s)
@@ -270,7 +284,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         delta_psi = 0.0
     else:
         if f_after is None:
-            f_after = trial.sampled_value(p, idx)
+            f_after = trial.value_on(p, sample)
         F_after = f_after + step.reg_at_target
         delta_psi = step.model_decrease
         if cfg.rho_mode == "full":

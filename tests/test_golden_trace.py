@@ -1,20 +1,32 @@
-"""Golden traces: sr2.run against a plain reference stepper.
+"""Golden traces: sr2.run and the baselines against plain reference steppers.
 
-The reference below is the SR2 iteration written without any shortcut: it
-draws a sample every step (also at full batch), evaluates every quantity
-through the public, checked oracles and keeps nothing from one step to the
-next.  The solver's full-batch path (no draw, full oracles, values reused
-across rejected steps) must give bitwise the same trace and iterate.
+The references below are the iterations written without any shortcut: they
+draw a sample every step (SR2 also at full batch), evaluate every quantity
+through the public, checked oracles (sampled_grad, sampled_value,
+full_value) and keep nothing from one step to the next.  The solvers'
+lean paths (one checked sample and one forward pass per point, no draw at
+full batch, values reused across rejected steps) must give bitwise the
+same trace and iterate.
 """
 
-from collections import deque
+from collections import Counter, deque
+from functools import partial
 
 import numpy as np
 import pytest
 
+from sr2kit import problems
+from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import NumericalFailureError
-from sr2kit.problems import LeastSquares, draw_sample, make_logistic
-from sr2kit.regularizers import L1, Zero, reg_value, shifted_prox
+from sr2kit.problems import (
+    ALL,
+    LeastSquares,
+    Logistic,
+    TinyMLP,
+    draw_sample,
+    make_logistic,
+)
+from sr2kit.regularizers import L0, L1, Zero, reg_value, shifted_prox
 from sr2kit.sr2 import (
     SolverConfig,
     SolverState,
@@ -116,10 +128,46 @@ def column(records, name):
     return np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
-def assert_same_trace(p, reg, x0, cfg):
-    """Run both steppers and compare bitwise; returns the package result."""
-    x_ref, ref = reference_run(p, reg, x0, cfg)
-    res = run(p, reg, x0, cfg)
+def reference_baseline_run(p, reg, x0, cfg, interpolate):
+    """ProxGEN (interpolate=False) or ProxSGD (True) as the plain loop."""
+    x = np.array(x0, dtype=float)
+    rng = np.random.default_rng(cfg.seed)
+    batch = min(cfg.batch_size, p.N)
+    trace = []
+    for t in range(1, cfg.max_iter + 1):
+        alpha = cfg.step_size(t)
+        idx = draw_sample(rng, p.N, batch)
+        g = p.sampled_grad(x, idx)
+        if interpolate:
+            step = shifted_prox(reg, x, g, 1.0)
+            x_new = x + alpha * step.s
+        else:
+            step = shifted_prox(reg, x, g, 1.0 / alpha)
+            x_new = x + step.s
+        r_x = reg_value(reg, x)
+        F_before = p.sampled_value(x, idx) + r_x
+        F_after = p.sampled_value(x_new, idx) + reg_value(reg, x_new)
+        s_eff = x_new - x
+        F_full = p.full_value(x) + r_x if cfg.record_full_objective else None
+        x = x_new
+        trace.append(dict(sigma_used=1.0 / alpha, rho=float("nan"),
+                          step_norm_sq=float(s_eff @ s_eff), accepted=True,
+                          F_sampled_before=F_before, F_sampled_after=F_after,
+                          F_full=F_full, model_decrease=step.model_decrease,
+                          batch_size=batch, assumption_rejected=False,
+                          nnz=int(np.count_nonzero(x))))
+    return x, trace
+
+
+reference_proxgen = partial(reference_baseline_run, interpolate=False)
+reference_proxsgd = partial(reference_baseline_run, interpolate=True)
+
+
+def assert_same_trace(p, reg, x0, cfg, reference=reference_run, solver=run):
+    """Run both steppers and compare bitwise (NaN equal to NaN); returns
+    the package result."""
+    x_ref, ref = reference(p, reg, x0, cfg)
+    res = solver(p, reg, x0, cfg)
     assert len(res.trace) == len(ref)
     assert res.x.tobytes() == x_ref.tobytes()
     for name in COLUMNS:
@@ -182,30 +230,53 @@ def test_guard_switches_to_full_batch_mid_run(check):
         assert sizes.index(p.N) == 6
 
 
-class CountingLeastSquares(LeastSquares):
-    def __init__(self, A, b):
-        super().__init__(A, b)
-        self.calls = dict.fromkeys(
-            ("full_grad", "full_value", "sampled_grad", "sampled_value"), 0)
+class Counting:
+    """Counts the evaluation path: gathers of sampled rows, forward and
+    backward passes on a sample or on the whole data set (read in place)."""
 
-    def full_grad(self, x):
-        self.calls["full_grad"] += 1
-        return super().full_grad(x)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = Counter()
 
-    def full_value(self, x):
-        self.calls["full_value"] += 1
-        return super().full_value(x)
+    def _where(self, rows):
+        return "full" if np.shares_memory(rows[0], self.A) else "sample"
 
-    def sampled_grad(self, x, idx):
-        self.calls["sampled_grad"] += 1
-        return super().sampled_grad(x, idx)
+    def _rows(self, idx):
+        self.calls["full_rows" if idx is ALL else "gather"] += 1
+        return super()._rows(idx)
 
-    def sampled_value(self, x, idx):
-        self.calls["sampled_value"] += 1
-        return super().sampled_value(x, idx)
+    def _forward(self, x, rows):
+        self.calls[self._where(rows) + "_forward"] += 1
+        return super()._forward(x, rows)
+
+    def _backward(self, fwd, rows):
+        self.calls[self._where(rows) + "_backward"] += 1
+        return super()._backward(fwd, rows)
 
 
-def test_full_batch_gradient_once_per_iterate(lasso_instance):
+class CountingLeastSquares(Counting, LeastSquares):
+    pass
+
+
+class CountingLogistic(Counting, Logistic):
+    pass
+
+
+@pytest.fixture
+def index_checks(monkeypatch):
+    """Counts the index-set checks."""
+    calls = Counter()
+    check = problems._check_indices
+
+    def counted(idx, N):
+        calls["check"] += 1
+        return check(idx, N)
+
+    monkeypatch.setattr(problems, "_check_indices", counted)
+    return calls
+
+
+def test_full_batch_gradient_once_per_iterate(lasso_instance, index_checks):
     p = CountingLeastSquares(lasso_instance["A"], lasso_instance["b"])
     cfg = SolverConfig(batch_size=p.N, max_iter=1500, epsilon=1e-6, seed=0)
     res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
@@ -213,12 +284,54 @@ def test_full_batch_gradient_once_per_iterate(lasso_instance):
     trials = sum(r.step_norm_sq > 0.0 for r in res.trace)
     assert not res.trace[-1].accepted
     assert len(res.trace) - accepted > 1000  # many rejections at one x
-    assert p.calls["full_grad"] == accepted + 1
-    # f at x0, then once per trial point x + s (which an accepted step keeps)
-    assert p.calls["full_value"] == 1 + trials
-    assert p.calls["sampled_grad"] == p.calls["sampled_value"] == 0
+    # one forward pass (A x) at x0 and one per trial point x + s, which an
+    # accepted step keeps for its gradient
+    assert p.calls["full_forward"] == 1 + trials
+    assert p.calls["full_backward"] == accepted + 1
+    assert p.calls["gather"] == p.calls["sample_forward"] == 0
+    assert index_checks["check"] == 0
     fresh = np.random.default_rng(cfg.seed).bit_generator.state
     assert res.state.rng.bit_generator.state == fresh
+
+
+@pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",
+                                          kappa_m=0.5),
+                                     dict(rho_mode="full")])
+def test_minibatch_one_sample_per_iteration(index_checks, options):
+    base = make_logistic(np.random.default_rng(7), 500, 20)
+    p = CountingLogistic(base.A, base.y)
+    cfg = SolverConfig(batch_size=32, max_iter=200, seed=3, **options)
+    res = run(p, L1(1e-4), np.zeros(p.n), cfg)
+    iters = len(res.trace)
+    trials = sum(r.step_norm_sq > 0.0 or r.assumption_rejected
+                 for r in res.trace)
+    assert trials > 0
+    if cfg.assumption_check != "off":
+        assert 0 < res.state.assumption_rejections
+        assert res.trace[-1].batch_size < p.N
+    # one index check and one gather per iteration; f and g at x from one
+    # forward pass; f(x + s) is one more forward pass on the same rows
+    assert index_checks["check"] == p.calls["gather"] == iters
+    assert p.calls["sample_backward"] == iters
+    assert p.calls["sample_forward"] == iters + trials
+    assert p.calls["full_backward"] == 0
+    if cfg.rho_mode == "full":
+        # f(x0), then f(x + s) once per trial point, kept if it is accepted
+        assert p.calls["full_forward"] == 1 + trials
+    else:
+        assert p.calls["full_forward"] == 0
+
+
+@pytest.mark.parametrize("solver", [run_proxgen, run_proxsgd])
+def test_baseline_one_sample_per_iteration(index_checks, solver):
+    base = make_logistic(np.random.default_rng(7), 500, 20)
+    p = CountingLogistic(base.A, base.y)
+    cfg = BaselineConfig(alpha=0.5, batch_size=32, max_iter=50, seed=3)
+    solver(p, L1(1e-4), np.zeros(p.n), cfg)
+    assert index_checks["check"] == p.calls["gather"] == 50
+    assert p.calls["sample_backward"] == 50
+    assert p.calls["sample_forward"] == 2 * 50  # at x, and at x' for the trace
+    assert p.calls["full_forward"] == 0
 
 
 def test_rng_untouched_after_batch_reaches_n():
@@ -235,3 +348,50 @@ def test_rng_untouched_after_batch_reaches_n():
         rec = sr2_step(p, Zero(), state, cfg)
         assert rec.batch_size == p.N
     assert state.rng.bit_generator.state == snapshot
+
+
+def logistic_problem():
+    return make_logistic(np.random.default_rng(7), 2000, 50)
+
+
+@pytest.mark.parametrize("reg", [L1(1e-4), L0(1e-4)], ids=str)
+@pytest.mark.parametrize("schedule", ["constant", "inverse-sqrt"])
+@pytest.mark.parametrize("record", [False, True])
+def test_proxgen_logistic_batch_128(reg, schedule, record):
+    p = logistic_problem()
+    cfg = BaselineConfig(alpha=0.5, schedule=schedule, batch_size=128,
+                         max_iter=150, seed=3, record_full_objective=record)
+    assert_same_trace(p, reg, np.zeros(p.n), cfg, reference_proxgen, run_proxgen)
+
+
+@pytest.mark.parametrize("schedule", ["constant", "inverse-sqrt"])
+@pytest.mark.parametrize("record", [False, True])
+def test_proxsgd_logistic_batch_128(schedule, record):
+    p = logistic_problem()
+    cfg = BaselineConfig(alpha=0.5, schedule=schedule, batch_size=128,
+                         max_iter=150, seed=3, record_full_objective=record)
+    assert_same_trace(p, L1(1e-4), np.zeros(p.n), cfg, reference_proxsgd,
+                      run_proxsgd)
+
+
+def mlp_problem():
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(120, 4))
+    labels = np.where(features[:, 0] * features[:, 1] >= 0.0, 1.0, -1.0)
+    p = TinyMLP(features, labels, hidden=5, task="classification")
+    return p, 0.3 * rng.normal(size=p.n)
+
+
+def test_sr2_tiny_mlp_minibatch():
+    p, x0 = mlp_problem()
+    cfg = SolverConfig(batch_size=32, max_iter=200, seed=4,
+                       record_full_objective=True)
+    res = assert_same_trace(p, L1(1e-3), x0, cfg)
+    assert any(r.accepted for r in res.trace)
+
+
+def test_proxgen_tiny_mlp_minibatch():
+    p, x0 = mlp_problem()
+    cfg = BaselineConfig(alpha=0.2, batch_size=32, max_iter=150, seed=4,
+                         record_full_objective=True)
+    assert_same_trace(p, L1(1e-3), x0, cfg, reference_proxgen, run_proxgen)

@@ -272,3 +272,101 @@ class TestCli:
         summary = json.load(open(os.path.join(out_dir, "summary.json")))
         assert summary[0]["seed"] == 11
         monkeypatch.delenv("SR2KIT_SEED", raising=False)
+
+
+FAILING_CELL_CONFIG = """\
+problem:
+  kind: logistic
+  N: 60
+  n: 6
+  gen_seed: 2
+regularizers:
+  - kind: l1
+    lam: 0.01
+solvers:
+  sr2: {}
+  proxsgd: {alpha: 2.0}
+run:
+  seeds: [0, 1]
+  batch_size: 16
+  max_iter: 20
+"""
+
+
+def assert_same_outputs(out1, out2):
+    """Same files with the same contents, trace wall_time aside."""
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    drop = [harness.TRACE_COLUMNS.index(c)
+            for c in harness.NONDETERMINISTIC_COLUMNS]
+    for name in names:
+        p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
+        if name.startswith("trace_"):
+            cols1, rows1 = harness.read_trace_csv(p1)
+            cols2, rows2 = harness.read_trace_csv(p2)
+            assert cols1 == cols2 and len(rows1) == len(rows2)
+            for a, b in zip(rows1, rows2):
+                assert [v for j, v in enumerate(a) if j not in drop] == \
+                    [v for j, v in enumerate(b) if j not in drop], name
+        else:
+            with open(p1) as f1, open(p2) as f2:
+                assert f1.read() == f2.read(), name
+
+
+class TestFailingCell:
+    def test_jobs_1_and_2_record_the_same_failure(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv("SR2KIT_SEED", raising=False)
+        cfg_path = write_config(tmp_path, FAILING_CELL_CONFIG)
+        spec = harness.parse_config(cfg_path)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        summaries = [harness.run_experiments(spec, out, jobs=j,
+                                             config_path=cfg_path)
+                     for j, out in zip((1, 2), outs)]
+        assert summaries[0] == summaries[1]
+        errors = [r for r in summaries[0] if "error" in r]
+        assert [(r["solver"], r["seed"]) for r in errors] == [
+            ("proxsgd", 0), ("proxsgd", 1)]
+        assert all("alpha" in r["error"] for r in errors)
+        assert sum("final_objective" in r for r in summaries[0]) == 2
+        assert_same_outputs(*outs)
+
+    def test_cli_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FAILING_CELL_CONFIG)
+        out_dir = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg_path, "--out", out_dir]) == 1
+        assert "FAILED" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(out_dir, "summary.json"))
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("jobs", ["0", "-1", "1.5", "many",
+                                      str((os.cpu_count() or 1) + 1),
+                                      str(10**9)])
+    def test_rejected_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                     jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_experiments must not be reached")
+
+        monkeypatch.setattr(harness, "run_experiments", no_run)
+        cfg_path = write_config(tmp_path, BASIC_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg_path, "--out",
+                      str(tmp_path / "o"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cpu_count_accepted(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(spec, out, jobs, config_path):
+            seen["jobs"] = jobs
+            return []
+
+        monkeypatch.setattr(harness, "run_experiments", fake_run)
+        cfg_path = write_config(tmp_path, BASIC_CONFIG)
+        cpus = str(os.cpu_count() or 1)
+        assert cli.main(["run", "--config", cfg_path, "--out",
+                         str(tmp_path / "o"), "--jobs", cpus]) == 0
+        assert seen["jobs"] == int(cpus)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sr2kit import problems
 from sr2kit.errors import ParseError
 from sr2kit.problems import (
+    ALL,
     Dataset,
     LeastSquares,
     Logistic,
@@ -20,6 +22,93 @@ from sr2kit.problems import (
     make_sparse_recovery,
     make_tiny_mlp,
 )
+
+
+KINDS = st.sampled_from(["least_squares", "logistic", "mlp_regression",
+                         "mlp_classification"])
+LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+def build_problem(kind, N, n, layout, rng):
+    """A random problem of the given kind on an N x n matrix stored in the
+    given layout."""
+    data = rng.normal(size=(N, n + 1))
+    A = {"C": np.ascontiguousarray(data[:, :n]),
+         "F": np.asfortranarray(data[:, :n]),
+         "strided": data[:, :n]}[layout]
+    y = np.where(rng.normal(size=N) >= 0.0, 1.0, -1.0)
+    if kind == "least_squares":
+        return LeastSquares(A, rng.normal(size=N))
+    if kind == "logistic":
+        return Logistic(A, y)
+    task = kind.removeprefix("mlp_")
+    targets = y if task == "classification" else rng.normal(size=N)
+    return TinyMLP(A, targets, hidden=int(rng.integers(1, 5)), task=task)
+
+
+def _sigmoid(t):
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=0, max_size=40))
+def test_sigmoid_matches_masked_formula_bitwise(values):
+    # the package computes both branches from e^-|t|; per element the
+    # operations are those of the two-branch formula, so the bits agree
+    # at any position in the array (vector body or tail)
+    t = np.array(values, dtype=float)
+    assert problems._sigmoid(t).tobytes() == _sigmoid(t).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12),
+       st.floats(-4.0, 4.0))
+def test_make_logistic_matches_outer_product_formula_bitwise(seed, N, n, sep):
+    # make_logistic shifts the rows in place; with y = +/-1 that is the
+    # same arithmetic as adding separation * outer(y, w)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=n)
+    w /= np.linalg.norm(w)
+    A = rng.normal(size=(N, n))
+    y = np.where(A @ w >= 0.0, 1.0, -1.0)
+    A = A + sep * np.outer(y, w)
+    p = make_logistic(np.random.default_rng(seed), N, n, separation=sep)
+    assert p.A.tobytes() == A.tobytes()
+    assert p.y.tobytes() == y.tobytes()
+
+
+def explicit_value_and_grad(p, x, idx):
+    """Mean loss and gradient on the sorted idx, each from its own forward
+    pass, with every operation spelled out."""
+    A = p.A[idx]
+    if isinstance(p, LeastSquares):
+        value = np.mean(0.5 * (A @ x - p.b[idx]) ** 2)
+        grad = (A.T @ (A @ x - p.b[idx])) / A.shape[0]
+    elif isinstance(p, Logistic):
+        y = p.y[idx]
+        value = np.mean(np.logaddexp(0.0, -(y * (A @ x))))
+        grad = (A.T @ (-y * _sigmoid(-(y * (A @ x))))) / A.shape[0]
+    else:
+        h, d, y, m = p.h, p.d, p.y[idx], A.shape[0]
+        W1, b1 = x[: h * d].reshape(h, d), x[h * d: h * d + h]
+        w2, b2 = x[h * d + h: h * d + 2 * h], x[-1]
+        T = np.tanh(A @ W1.T + b1)
+        out = T @ w2 + b2
+        if p.task == "regression":
+            value = np.mean(0.5 * (out - y) ** 2)
+            dout = out - y
+        else:
+            value = np.mean(np.logaddexp(0.0, -y * out))
+            dout = -y * _sigmoid(-y * out)
+        dT = np.outer(dout, w2) * (1.0 - T**2)
+        grad = np.concatenate([(dT.T @ A / m).ravel(), np.sum(dT, axis=0) / m,
+                               T.T @ dout / m, [np.sum(dout) / m]])
+    return float(value), grad
 
 
 class TestLeastSquares:
@@ -95,36 +184,77 @@ class TestSampling:
         assert np.all(np.abs(counts - 10_000) <= 400)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        kind=st.sampled_from(["least_squares", "logistic", "mlp_regression",
-                              "mlp_classification"]),
-        N=st.integers(1, 40),
-        n=st.integers(1, 8),
-        layout=st.sampled_from(["C", "F", "strided"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(kind=KINDS, N=st.integers(1, 40), n=st.integers(1, 8),
+           layout=LAYOUTS, seed=st.integers(0, 2**32 - 1))
     def test_full_batch_degeneracy_bitwise(self, kind, N, n, layout, seed):
         # the full oracles read the data in place; the sampled ones on
         # {0..N-1} copy it.  Both must give the same bits for any layout
         # of the input matrix.
         rng = np.random.default_rng(seed)
-        data = rng.normal(size=(N, n + 1))
-        A = {"C": np.ascontiguousarray(data[:, :n]),
-             "F": np.asfortranarray(data[:, :n]),
-             "strided": data[:, :n]}[layout]
-        y = np.where(rng.normal(size=N) >= 0.0, 1.0, -1.0)
-        if kind == "least_squares":
-            p = LeastSquares(A, rng.normal(size=N))
-        elif kind == "logistic":
-            p = Logistic(A, y)
-        else:
-            task = kind.removeprefix("mlp_")
-            targets = y if task == "classification" else rng.normal(size=N)
-            p = TinyMLP(A, targets, hidden=int(rng.integers(1, 5)), task=task)
+        p = build_problem(kind, N, n, layout, rng)
         x = rng.normal(size=p.n)
         everything = np.arange(N)
         assert p.full_value(x) == p.sampled_value(x, everything)
         assert np.array_equal(p.full_grad(x), p.sampled_grad(x, everything))
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=KINDS, N=st.integers(1, 40), n=st.integers(1, 8),
+           layout=LAYOUTS, seed=st.integers(0, 2**32 - 1),
+           shuffle=st.booleans())
+    def test_sample_matches_public_oracles_bitwise(self, kind, N, n, layout,
+                                                    seed, shuffle):
+        # one forward pass for value and gradient gives the bits of the
+        # separate checked oracles, and of the per-problem formulas written
+        # out below, for sorted and unsorted index sets
+        rng = np.random.default_rng(seed)
+        p = build_problem(kind, N, n, layout, rng)
+        x = rng.normal(size=p.n)
+        idx = np.sort(rng.choice(N, size=int(rng.integers(1, N + 1)),
+                                 replace=False))
+        if shuffle:
+            idx = rng.permutation(idx)
+        f, g = p.sample(idx).value_and_grad(x)
+        assert f == p.sampled_value(x, idx) == p.sample(idx).value(x)
+        assert g.tobytes() == p.sampled_grad(x, idx).tobytes()
+        f_ref, g_ref = explicit_value_and_grad(p, x, np.sort(idx))
+        assert f == f_ref
+        assert g.tobytes() == g_ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 300), data=st.data())
+    def test_draw_sample_sorted_unique_in_range(self, N, data):
+        batch = data.draw(st.integers(1, N))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        idx = draw_sample(np.random.default_rng(seed), N, batch)
+        assert idx.shape == (batch,)
+        assert np.all(np.diff(idx) > 0)  # sorted and unique
+        assert idx[0] >= 0 and idx[-1] < N
+
+    @pytest.mark.parametrize("idx", [[], [3], [-1], [0, 2, 0]])
+    def test_sample_rejects_bad_index_sets(self, idx):
+        p = LeastSquares(np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            p.sample(idx)
+        with pytest.raises(ValueError):
+            p.sampled_value(np.zeros(3), idx)
+        with pytest.raises(ValueError):
+            p.sampled_grad(np.zeros(3), idx)
+
+    def test_sample_checks_point_every_call(self):
+        p = LeastSquares(np.eye(3), np.zeros(3))
+        for sample in (p.sample([0, 2]), p.sample(ALL)):
+            for bad in ([np.nan, 0.0, 0.0], np.zeros(2)):
+                with pytest.raises(ValueError):
+                    sample.value(bad)
+                with pytest.raises(ValueError):
+                    sample.value_and_grad(bad)
+
+    def test_full_sample_reads_data_in_place(self):
+        p = make_logistic(np.random.default_rng(3), 20, 4)
+        A_all, y_all = p.sample(ALL).rows
+        assert np.shares_memory(A_all, p.A) and np.shares_memory(y_all, p.y)
+        A_i, _ = p.sample([1, 5]).rows
+        assert not np.shares_memory(A_i, p.A)
 
     def test_sampled_grad_unbiased(self):
         # Monte-Carlo mean over uniform single-index draws approaches the
