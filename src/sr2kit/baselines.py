@@ -6,19 +6,25 @@ Neither method tests step quality: every step is taken, the batch size is
 fixed, and the step size follows the configured schedule.  Each step
 builds one checked sample and gets f(x) and the gradient on it from one
 forward pass; the trace's f(x') is evaluated on that same sample.
+
+run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
+which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
+the iterate's _Point as SR2 does.  No step adds to the window, so a run
+uses its whole budget; state.sigma is 1/alpha of the next step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import UnsupportedRegularizerError
 from .problems import draw_sample
-from .regularizers import Regularizer, reg_value, shifted_prox
-from .sr2 import IterationRecord, RunResult, SolverState
+from .regularizers import Regularizer, shifted_prox
+from .sr2 import IterationRecord, RunResult, _drive, _Point
 
 __all__ = [
     "BaselineConfig",
@@ -87,50 +93,45 @@ def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch):
     return x + alpha * step.s, step, (sample, f)
 
 
-def _run_baseline(p, reg, x0, cfg, stepper):
-    cfg = cfg.validated()
-    x = np.asarray(x0, dtype=float).copy()
-    rng = np.random.default_rng(cfg.seed)
-    batch = min(cfg.batch_size, p.N)
-    trace = []
-    r_x = reg_value(reg, x)
-    for t in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        alpha = cfg.step_size(t)
-        x_new, step, (sample, f) = stepper(p, reg, x, alpha, rng, batch)
-        r_new = reg_value(reg, x_new)
-        F_before = f + r_x
-        F_after = sample.value(x_new) + r_new
-        s_eff = x_new - x
-        F_full = p.full_value(x) + r_x if cfg.record_full_objective else None
-        x, r_x = x_new, r_new
-        trace.append(IterationRecord(
-            t=t,
-            sigma_used=1.0 / alpha,
-            rho=float("nan"),
-            step_norm_sq=float(s_eff @ s_eff),
-            accepted=True,
-            F_sampled_before=F_before,
-            F_sampled_after=F_after,
-            F_full=F_full,
-            model_decrease=step.model_decrease,
-            batch_size=batch,
-            assumption_rejected=False,
-            nnz=int(np.count_nonzero(x)),
-            wall_time=time.perf_counter() - t0,
-        ))
-    state = SolverState(x=x, sigma=float("nan"), t=cfg.max_iter, rng=rng,
-                        batch_size=batch)
-    return RunResult(x=x, trace=trace, stop_reason="budget", state=state)
+def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
+    """One iteration through stepper (proxgen_step or proxsgd_step);
+    mutates state and returns the IterationRecord."""
+    t0 = time.perf_counter()
+    x, at_x = state.x, state.point
+    alpha = cfg.step_size(state.t + 1)
+    x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
+                                       state.batch_size)
+    at_new = _Point(x_new)
+    s = x_new - x
+    F_full = (at_x.full_value(p) + at_x.reg_value(reg)
+              if cfg.record_full_objective else None)
+    state.x, state.point = x_new, at_new
+    state.t += 1
+    state.sigma = 1.0 / cfg.step_size(state.t + 1)
+    return IterationRecord(
+        t=state.t,
+        sigma_used=1.0 / alpha,
+        rho=float("nan"),
+        step_norm_sq=float(s @ s),
+        accepted=True,
+        F_sampled_before=f + at_x.reg_value(reg),
+        F_sampled_after=sample.value(x_new) + at_new.reg_value(reg),
+        F_full=F_full,
+        model_decrease=step.model_decrease,
+        batch_size=state.batch_size,
+        assumption_rejected=False,
+        nnz=int(np.count_nonzero(x_new)),
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def run_proxgen(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    return _run_baseline(p, reg, x0, cfg, proxgen_step)
+    cfg = cfg.validated()
+    return _drive(p, reg, x0, cfg, partial(_step, proxgen_step),
+                  1.0 / cfg.step_size(1))
 
 
 def run_proxsgd(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    if not reg.convex:
-        raise UnsupportedRegularizerError(
-            f"proxsgd requires a convex regularizer, got {reg}"
-        )
-    return _run_baseline(p, reg, x0, cfg, proxsgd_step)
+    cfg = cfg.validated()
+    return _drive(p, reg, x0, cfg, partial(_step, proxsgd_step),
+                  1.0 / cfg.step_size(1))

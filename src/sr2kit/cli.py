@@ -11,9 +11,9 @@ from . import diagnostics, harness
 
 
 def _cmd_run(args):
-    if args.seed_override is not None:
-        os.environ["SR2KIT_SEED"] = str(args.seed_override)
     spec = harness.parse_config(args.config)
+    if args.seed_override is not None:
+        spec.seeds = [args.seed_override]
     if args.dry_run:
         for solver, reg, seed in harness.plan_cells(spec):
             print(f"would run: {solver} x {reg} x seed={seed}")

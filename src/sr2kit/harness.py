@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,7 +51,12 @@ _PROBLEM_KEYS = {
     "task", "data", "format", "gen_seed",
 }
 _RUN_KEYS = {"seeds", "batch_size", "max_iter", "epochs", "prune_thresholds"}
-_SOLVER_NAMES = ("sr2", "proxgen", "proxsgd")
+
+#: solver name -> (config class, module, runner name); the runner is looked
+#: up on its module when a cell runs, so a function patched there is used
+_SOLVERS = {"sr2": (sr2.SolverConfig, sr2, "run"),
+            "proxgen": (baselines.BaselineConfig, baselines, "run_proxgen"),
+            "proxsgd": (baselines.BaselineConfig, baselines, "run_proxsgd")}
 
 
 @dataclass
@@ -112,28 +116,21 @@ def parse_config(path):
     regs = [_build_regularizer(e) for e in reg_entries]
 
     solver_section = raw.get("solvers") or {"sr2": {}}
-    _reject_unknown("solvers", solver_section, _SOLVER_NAMES)
+    _reject_unknown("solvers", solver_section, _SOLVERS)
     if not solver_section:
         raise ParseError("solver grid must be nonempty")
     solvers = {}
     for name, overrides in solver_section.items():
         overrides = dict(overrides or {})
-        if name == "sr2":
-            allowed = {f.name for f in dataclasses.fields(sr2.SolverConfig)}
-        else:
-            allowed = {f.name for f in dataclasses.fields(baselines.BaselineConfig)}
-            allowed.add("alpha")  # may be the string "auto"
+        allowed = {f.name for f in dataclasses.fields(_SOLVERS[name][0])}
         _reject_unknown(f"solvers.{name}", overrides, allowed)
         solvers[name] = overrides
 
     run_section = raw.get("run") or {}
     _reject_unknown("run", run_section, _RUN_KEYS)
-    seeds = list(run_section.get("seeds", [0]))
+    seeds = _config_seeds(run_section)
     if not seeds:
         raise ParseError("run.seeds must be nonempty")
-    env_seed = os.environ.get("SR2KIT_SEED")
-    if env_seed is not None:
-        seeds = [int(env_seed)]
     thresholds = tuple(
         float(t) for t in run_section.get(
             "prune_thresholds", diagnostics.DEFAULT_PRUNE_THRESHOLDS
@@ -160,6 +157,23 @@ def parse_config(path):
             if not reg.convex:
                 spec.skipped.append(("proxsgd", str(reg)))
     return spec
+
+
+def _config_seeds(run_section):
+    return list(run_section.get("seeds", [0]))
+
+
+def _copy_config(config_path, out_dir, seeds):
+    """The config as out_dir/config.yaml, byte for byte unless the seeds
+    that run differ from its own; then it lists them, for rebuild_summary."""
+    with open(config_path, "rb") as fh:
+        text = fh.read()
+    raw = yaml.safe_load(text)
+    if _config_seeds(raw.get("run") or {}) != seeds:
+        raw["run"] = {**(raw.get("run") or {}), "seeds": seeds}
+        text = yaml.safe_dump(raw, sort_keys=False).encode()
+    with open(os.path.join(out_dir, "config.yaml"), "wb") as fh:
+        fh.write(text)
 
 
 def build_problem(spec):
@@ -291,23 +305,13 @@ def _resolve_alpha(overrides, p, solver):
 
 
 def _run_cell(spec, p, solver, reg, seed, max_iter):
-    if solver == "sr2":
-        overrides = dict(spec.solvers["sr2"])
-        overrides.setdefault("batch_size", spec.batch_size)
-        overrides.setdefault("max_iter", max_iter)
-        overrides["seed"] = seed
-        cfg = sr2.SolverConfig(**overrides)
-        return sr2.run(p, reg, np.zeros(p.n), cfg)
-    overrides = dict(spec.solvers[solver])
-    alpha = _resolve_alpha(overrides, p, solver)
-    overrides.pop("alpha", None)
-    overrides.setdefault("batch_size", spec.batch_size)
-    overrides.setdefault("max_iter", max_iter)
-    overrides["seed"] = seed
-    cfg = baselines.BaselineConfig(alpha=alpha, **overrides)
-    if solver == "proxgen":
-        return baselines.run_proxgen(p, reg, np.zeros(p.n), cfg)
-    return baselines.run_proxsgd(p, reg, np.zeros(p.n), cfg)
+    config_class, module, runner = _SOLVERS[solver]
+    overrides = {"batch_size": spec.batch_size, "max_iter": max_iter,
+                 **spec.solvers[solver], "seed": seed}
+    if config_class is baselines.BaselineConfig:
+        overrides["alpha"] = _resolve_alpha(overrides, p, solver)
+    return getattr(module, runner)(p, reg, np.zeros(p.n),
+                                   config_class(**overrides))
 
 
 def _prune_sweep(p, x, thresholds):
@@ -324,7 +328,7 @@ def _prune_sweep(p, x, thresholds):
 
 
 def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
-    """Run one cell and write its outputs; returns (cell, summary row).  A
+    """Run one cell and write its outputs; returns its summary row.  A
     failing cell gives an error row, in a pool worker as in the parent."""
     cell = f"{solver}_{_reg_tag(reg)}_s{seed}"
     try:
@@ -333,11 +337,13 @@ def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
         sweep = _prune_sweep(p, result.x, spec.prune_thresholds)
         emit_plot_data(out_dir, cell, result.trace, sweep)
-        row = _summary_row(p, spec, solver, reg, seed, result, sweep)
+        row = _summary_row(p, spec, solver, reg, seed, result.x,
+                           len(result.trace), result.stop_reason, sweep)
     except Exception as exc:  # record, keep going
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
                "error": str(exc)}
-    return cell, row
+    row["cell"] = cell
+    return row
 
 
 # (spec, problem) of a pool worker, set once per worker by _init_worker
@@ -353,14 +359,15 @@ def _worker_cell_job(cell_args):
     return _cell_job(*_worker_state, *cell_args)
 
 
-def _summary_row(p, spec, solver, reg, seed, result, sweep):
-    report = diagnostics.sparsity_report(result.x, thresholds=(1e-3,))
+def _summary_row(p, spec, solver, reg, seed, x, iterations, stop_reason,
+                 sweep):
+    report = diagnostics.sparsity_report(x, thresholds=(1e-3,))
     try:
-        acc = diagnostics.accuracy(p, result.x)
+        acc = diagnostics.accuracy(p, x)
     except (UnsupportedMetricError, NotImplementedError):
         acc = None
     lam = getattr(reg, "lam", None)
-    F_final = p.full_value(result.x) + reg_value(reg, result.x)
+    F_final = p.full_value(x) + reg_value(reg, x)
     epoch_len = _epoch_length(p.N, spec.batch_size)
     return {
         "solver": solver,
@@ -371,9 +378,9 @@ def _summary_row(p, spec, solver, reg, seed, result, sweep):
         "accuracy": acc,
         "pct_zero": report.pct_exact_zero,
         "pct_below_1e-3": report.pct_below[1e-3],
-        "stop_reason": result.stop_reason,
-        "iterations": len(result.trace),
-        "epochs": len(result.trace) / epoch_len,
+        "stop_reason": stop_reason,
+        "iterations": iterations,
+        "epochs": iterations / epoch_len,
         "prune_sweep": [
             {"alpha": a, "sparsity_pct": s, "accuracy": acc_}
             for a, s, acc_ in sweep
@@ -402,7 +409,7 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
     """
     os.makedirs(out_dir, exist_ok=True)
     if config_path is not None:
-        shutil.copy(config_path, os.path.join(out_dir, "config.yaml"))
+        _copy_config(config_path, out_dir, spec.seeds)
     p = build_problem(spec)
     if spec.max_iter is not None:
         max_iter = int(spec.max_iter)
@@ -413,26 +420,23 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
 
     cells = [(solver, reg, seed, max_iter, out_dir)
              for solver, reg, seed in plan_cells(spec)]
-    summary = []
     if jobs > 1:
         # the problem goes to each worker once (inherited as is under fork),
         # not pickled with every cell
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(spec, p)) as pool:
-            results = list(pool.map(_worker_cell_job, cells))
+            summary = list(pool.map(_worker_cell_job, cells))
     else:
-        results = [_cell_job(spec, p, *cell) for cell in cells]
-    for cell, row in results:
-        row["cell"] = cell
-        summary.append(row)
-    for solver, reg in spec.skipped:
-        summary.append({"solver": solver, "reg": reg, "skipped": True,
-                        "reason": "nonconvex regularizer unsupported by proxsgd"})
-    _write_summary(out_dir, summary)
+        summary = [_cell_job(spec, p, *cell) for cell in cells]
+    _write_summary(out_dir, spec, summary)
     return summary
 
 
-def _write_summary(out_dir, summary):
+def _write_summary(out_dir, spec, summary):
+    """Add the rows of the skipped cells and write summary.json."""
+    for solver, reg in spec.skipped:
+        summary.append({"solver": solver, "reg": reg, "skipped": True,
+                        "reason": "nonconvex regularizer unsupported by proxsgd"})
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -474,19 +478,9 @@ def rebuild_summary(out_dir):
         _, rows = read_trace_csv(trace_path)
         x = load_model(model_path)
         sweep = _prune_sweep(p, x, spec.prune_thresholds)
-
-        class _Shim:
-            pass
-
-        shim = _Shim()
-        shim.x = x
-        shim.trace = rows
-        shim.stop_reason = "rebuilt"
-        row = _summary_row(p, spec, solver, reg, seed, shim, sweep)
+        row = _summary_row(p, spec, solver, reg, seed, x, len(rows),
+                           "rebuilt", sweep)
         row["cell"] = cell
         summary.append(row)
-    for solver, reg in spec.skipped:
-        summary.append({"solver": solver, "reg": reg, "skipped": True,
-                        "reason": "nonconvex regularizer unsupported by proxsgd"})
-    _write_summary(out_dir, summary)
+    _write_summary(out_dir, spec, summary)
     return summary

@@ -17,6 +17,7 @@ wrappers over this path.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,10 +372,26 @@ def draw_sample(rng, N, batch):
     return np.sort(rng.choice(N, size=batch, replace=False))
 
 
+def _gaussian_matrix(rng, N, n):
+    """rng.normal(size=(N, n)).  From 4 MiB up (where numpy starts to advise
+    huge pages) it is drawn into an anonymous memory map of its own, whose
+    pages go back to the system when the problem is freed: a freed malloc
+    block that large stays in the heap, and whether the next one fits there
+    or the process grows depends on what came in between."""
+    if 8 * N * n < 1 << 22:
+        return rng.normal(size=(N, n))
+    buf = mmap.mmap(-1, 8 * N * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large blocks
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    A = np.ndarray((N, n), buffer=buf)
+    rng.standard_normal(out=A)
+    return A
+
+
 def make_least_squares(rng, N, n, noise_sd=0.0):
     if N <= 0 or n <= 0:
         raise ValueError("N and n must be positive")
-    A = rng.normal(size=(N, n))
+    A = _gaussian_matrix(rng, N, n)
     x_true = rng.normal(size=n)
     b = A @ x_true + noise_sd * rng.normal(size=N)
     return LeastSquares(A, b, name=f"least_squares(N={N},n={n})")
@@ -385,7 +402,7 @@ def make_logistic(rng, N, n, separation=1.0):
         raise ValueError("N and n must be positive")
     w = rng.normal(size=n)
     w /= np.linalg.norm(w)
-    A = rng.normal(size=(N, n))
+    A = _gaussian_matrix(rng, N, n)
     y = np.where(A @ w >= 0.0, 1.0, -1.0)
     # push each class away from the separating hyperplane:
     # a_i += separation * y_i * w with y_i = +/-1, in place (no N x n temporary)
@@ -421,7 +438,7 @@ def make_sparse_recovery(rng, N, n, support_size, noise_sd=0.0):
         raise ValueError(f"support_size {support_size} exceeds n {n}")
     if N <= 0 or n <= 0:
         raise ValueError("N and n must be positive")
-    A = rng.normal(size=(N, n))
+    A = _gaussian_matrix(rng, N, n)
     support = np.sort(rng.choice(n, size=support_size, replace=False))
     x_star = np.zeros(n)
     mags = rng.uniform(0.5, 2.0, size=support_size)

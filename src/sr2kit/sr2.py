@@ -23,18 +23,22 @@ every mode.
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
 window is full and the mean falls below epsilon^2.
+
+One run loop, _drive, serves SR2 and both baselines: it checks that R(x0)
+is finite, builds the SolverState, calls the solver's own step (for run,
+sr2_step) up to max_iter times, stops on the window and returns the
+RunResult.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import InfeasibleAnchorError, NumericalFailureError
 from .problems import ALL, draw_sample
 from .regularizers import Regularizer, reg_value, shifted_prox
 
@@ -50,12 +54,10 @@ __all__ = [
     "run",
 ]
 
-#: defaults used throughout: eta1=7.5e-4, eta2=0.99, gamma1=5.56,
-#: gamma2=2.95, gamma3=0.8
+#: defaults used throughout: eta1=7.5e-4, eta2=0.99, gamma1=5.56, gamma3=0.8
 DEFAULT_ETA1 = 7.5e-4
 DEFAULT_ETA2 = 0.99
 DEFAULT_GAMMA1 = 5.56
-DEFAULT_GAMMA2 = 2.95
 DEFAULT_GAMMA3 = 0.8
 
 
@@ -64,7 +66,6 @@ class SolverConfig:
     eta1: float = DEFAULT_ETA1
     eta2: float = DEFAULT_ETA2
     gamma1: float = DEFAULT_GAMMA1
-    gamma2: float = DEFAULT_GAMMA2
     gamma3: float = DEFAULT_GAMMA3
     sigma0: float = 1.0
     sigma_min: float = 1e-6
@@ -77,23 +78,12 @@ class SolverConfig:
     kappa_m: float | str = "auto"        # positive float or "auto" (= L/2)
     window: int = 25
     record_full_objective: bool = False  # audit column even in sampled mode
-    allow_gamma_disorder: bool = True    # accept gamma1 > gamma2 with a warning
 
     def validated(self):
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ValueError("need 0 < eta1 <= eta2 < 1")
         if not 0 < self.gamma3 <= 1 < self.gamma1:
             raise ValueError("need 0 < gamma3 <= 1 < gamma1")
-        if self.gamma2 < self.gamma1:
-            if not self.allow_gamma_disorder:
-                raise ValueError("need gamma1 <= gamma2")
-            # the stock defaults have gamma1 > gamma2; the point update
-            # below never uses gamma2, so this is harmless but worth noting
-            warnings.warn(
-                f"gamma1={self.gamma1} > gamma2={self.gamma2}; gamma2 is "
-                "unused by the point sigma-update",
-                stacklevel=2,
-            )
         if not self.sigma0 >= self.sigma_min > 0:
             raise ValueError("need sigma0 >= sigma_min > 0")
         if self.epsilon <= 0:
@@ -345,28 +335,37 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     )
 
 
-def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
-    """Iterate sr2_step until the stationarity estimate drops below
-    epsilon^2 or the iteration budget runs out."""
-    cfg = cfg.validated()
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(reg_value(reg, x0)):
-        raise ValueError("starting point has infinite regularizer value")
+def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
+    """Call step(p, reg, state, cfg) until the window of accepted squared
+    step norms is full with a mean of at most epsilon^2, or for max_iter
+    steps; cfg is validated.  A step that appends nothing to the window
+    (the baselines') runs to the budget."""
+    x0 = np.array(x0, dtype=float)
+    at_x0 = _Point(x0)
+    if not np.isfinite(at_x0.reg_value(reg)):
+        raise InfeasibleAnchorError("starting point has infinite regularizer value")
     state = SolverState(
-        x=x0.copy(),
-        sigma=cfg.sigma0,
+        x=x0,
+        sigma=sigma,
         t=0,
         rng=np.random.default_rng(cfg.seed),
         batch_size=min(cfg.batch_size, p.N),
-        window=deque(maxlen=cfg.window),
+        window=deque(maxlen=window),
+        point=at_x0,
     )
     trace = []
     stop_reason = "budget"
     for _ in range(cfg.max_iter):
-        rec = sr2_step(p, reg, state, cfg)
-        trace.append(rec)
+        trace.append(step(p, reg, state, cfg))
         est = stationarity_estimate(state)
-        if est is not None and est <= cfg.epsilon**2:
+        if est is not None and est <= epsilon**2:
             stop_reason = "stationarity"
             break
     return RunResult(x=state.x, trace=trace, stop_reason=stop_reason, state=state)
+
+
+def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
+    """Iterate sr2_step until the stationarity estimate drops below
+    epsilon^2 or the iteration budget runs out."""
+    cfg = cfg.validated()
+    return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window, cfg.epsilon)

@@ -5,18 +5,8 @@ ISTA uses its own inline soft threshold and a spectral-norm step size so
 that package results are certified against an independent code path.
 """
 
-import warnings
-
 import numpy as np
 import pytest
-
-
-def pytest_configure(config):
-    # the stock hyperparameters trip the gamma-order warning by design;
-    # keep test output readable
-    warnings.filterwarnings(
-        "ignore", message=r"gamma1=.* > gamma2=.*", category=UserWarning
-    )
 
 
 def ista_reference(A, b, lam, tol=1e-10, max_iter=500_000):

@@ -102,10 +102,10 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             harness.parse_config(write_config(tmp_path, bad))
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SR2KIT_SEED", "77")
-        spec = harness.parse_config(write_config(tmp_path, BASIC_CONFIG))
-        assert spec.seeds == [77]
+    def test_removed_gamma2_key_rejected(self, tmp_path):
+        bad = BASIC_CONFIG.replace("sr2: {}", "sr2: {gamma2: 2.95}")
+        with pytest.raises(ParseError, match="gamma2"):
+            harness.parse_config(write_config(tmp_path, bad))
 
 
 class TestModelIO:
@@ -263,15 +263,43 @@ class TestCli:
         assert rc == 0
         assert "alpha" in capsys.readouterr().out
 
-    def test_seed_override_flag(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SR2KIT_SEED", raising=False)
+    def test_seed_override_flag(self, tmp_path):
         cfg_path = write_config(tmp_path, BASIC_CONFIG)
         out_dir = str(tmp_path / "o")
         cli.main(["run", "--config", cfg_path, "--out", out_dir,
                   "--seed-override", "11"])
         summary = json.load(open(os.path.join(out_dir, "summary.json")))
         assert summary[0]["seed"] == 11
-        monkeypatch.delenv("SR2KIT_SEED", raising=False)
+
+    def test_seed_override_ends_with_its_run(self, tmp_path):
+        cfg_path = write_config(tmp_path, BASIC_CONFIG)
+        assert cli.main(["run", "--config", cfg_path, "--out",
+                         str(tmp_path / "o"), "--seed-override", "11"]) == 0
+        assert harness.parse_config(cfg_path).seeds == [3]
+
+    def test_report_after_seed_override(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, BASIC_CONFIG.replace("seeds: [3]", "seeds: [0, 1]"))
+        out_dir = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg_path, "--out", out_dir,
+                         "--seed-override", "11"]) == 0
+        ran = json.load(open(os.path.join(out_dir, "summary.json")))
+        assert harness.parse_config(
+            os.path.join(out_dir, "config.yaml")).seeds == [11]
+        assert cli.main(["report", "--out", out_dir]) == 0
+        rebuilt = json.load(open(os.path.join(out_dir, "summary.json")))
+        keys = ("cell", "final_objective", "pct_zero")
+        assert [[r[k] for k in keys] for r in rebuilt] == \
+            [[r[k] for k in keys] for r in ran]
+        assert [r["cell"] for r in ran] == ["sr2_l1_0.05_s11"]
+
+    def test_config_copied_byte_for_byte_without_override(self, tmp_path):
+        cfg_path = write_config(tmp_path, "# comment kept\r\n" + BASIC_CONFIG)
+        out_dir = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg_path, "--out", out_dir]) == 0
+        with open(cfg_path, "rb") as src, \
+                open(os.path.join(out_dir, "config.yaml"), "rb") as copy:
+            assert copy.read() == src.read()
 
 
 FAILING_CELL_CONFIG = """\
@@ -314,9 +342,7 @@ def assert_same_outputs(out1, out2):
 
 
 class TestFailingCell:
-    def test_jobs_1_and_2_record_the_same_failure(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("SR2KIT_SEED", raising=False)
+    def test_jobs_1_and_2_record_the_same_failure(self, tmp_path):
         cfg_path = write_config(tmp_path, FAILING_CELL_CONFIG)
         spec = harness.parse_config(cfg_path)
         outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]

@@ -1,5 +1,7 @@
 """Finite-sum problems: analytic gradients, sampling, generators, I/O."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,15 +73,36 @@ def test_sigmoid_matches_masked_formula_bitwise(values):
 def test_make_logistic_matches_outer_product_formula_bitwise(seed, N, n, sep):
     # make_logistic shifts the rows in place; with y = +/-1 that is the
     # same arithmetic as adding separation * outer(y, w)
+    A, y = logistic_by_outer_product(seed, N, n, sep)
+    p = make_logistic(np.random.default_rng(seed), N, n, separation=sep)
+    assert p.A.tobytes() == A.tobytes()
+    assert p.y.tobytes() == y.tobytes()
+
+
+def logistic_by_outer_product(seed, N, n, sep=1.0):
     rng = np.random.default_rng(seed)
     w = rng.normal(size=n)
     w /= np.linalg.norm(w)
     A = rng.normal(size=(N, n))
     y = np.where(A @ w >= 0.0, 1.0, -1.0)
-    A = A + sep * np.outer(y, w)
-    p = make_logistic(np.random.default_rng(seed), N, n, separation=sep)
-    assert p.A.tobytes() == A.tobytes()
-    assert p.y.tobytes() == y.tobytes()
+    return A + sep * np.outer(y, w), y
+
+
+@pytest.mark.parametrize("N, n", [(1, 1), (37, 5), (4095, 128), (4096, 128)])
+def test_generated_design_is_rng_normal(N, n):
+    # from 4 MiB (4096 x 128) up the design is drawn in place into a private
+    # anonymous map, so freeing a problem returns its pages; either way the
+    # draws are those of rng.normal
+    A = np.random.default_rng(N).normal(size=(N, n))
+    mapped = 8 * N * n >= 1 << 22
+    for make, args in ((make_least_squares, ()), (make_sparse_recovery, (1,))):
+        p = make(np.random.default_rng(N), N, n, *args)
+        p = getattr(p, "problem", p)
+        assert p.A.tobytes() == A.tobytes()
+        assert isinstance(p.A.base, mmap.mmap) == mapped
+    p = make_logistic(np.random.default_rng(N), N, n)
+    assert p.A.tobytes() == logistic_by_outer_product(N, N, n)[0].tobytes()
+    assert isinstance(p.A.base, mmap.mmap) == mapped and p.A.flags.c_contiguous
 
 
 def explicit_value_and_grad(p, x, idx):

@@ -1,0 +1,111 @@
+"""The run loop that SR2, ProxGEN and ProxSGD share, and their configs."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sr2kit
+from sr2kit import baselines, sr2
+from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
+from sr2kit.errors import InfeasibleAnchorError
+from sr2kit.problems import make_least_squares
+from sr2kit.regularizers import L1, L0Ball
+from sr2kit.sr2 import SolverConfig, run
+
+SOLVERS = [
+    pytest.param(run, SolverConfig, {}, id="sr2"),
+    pytest.param(run_proxgen, BaselineConfig, {"alpha": 0.05}, id="proxgen"),
+    pytest.param(run_proxsgd, BaselineConfig, {"alpha": 0.5}, id="proxsgd"),
+]
+
+
+@pytest.fixture
+def problem():
+    return make_least_squares(np.random.default_rng(9), 40, 6, 0.2)
+
+
+def config(config_class, options, **kw):
+    return config_class(batch_size=8, seed=2, **options, **kw)
+
+
+@pytest.mark.parametrize("solver,config_class,options", SOLVERS)
+class TestBoundary:
+    def test_infeasible_start_raises_before_any_step(
+            self, problem, monkeypatch, solver, config_class, options):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        for module, name in ((sr2, "sr2_step"), (baselines, "proxgen_step"),
+                             (baselines, "proxsgd_step")):
+            monkeypatch.setattr(module, name, no_step)
+        x0 = np.array([1.0, 1.0, 0, 0, 0, 0])
+        with pytest.raises(InfeasibleAnchorError):
+            solver(problem, L0Ball(1), x0, config(config_class, options))
+
+    def test_zero_budget(self, problem, solver, config_class, options):
+        x0 = np.ones(problem.n)
+        res = solver(problem, L1(0.1), x0,
+                     config(config_class, options, max_iter=0))
+        assert res.trace == []
+        assert res.stop_reason == "budget"
+        assert res.state.t == 0
+        assert res.state.x is res.x
+        assert res.x is not x0
+        np.testing.assert_array_equal(res.x, x0)
+
+    def test_state_matches_result(self, problem, solver, config_class,
+                                  options):
+        x0 = np.zeros(problem.n)
+        res = solver(problem, L1(0.1), x0,
+                     config(config_class, options, max_iter=40))
+        assert 0 < len(res.trace) <= 40
+        assert res.state.t == len(res.trace)
+        assert [r.t for r in res.trace] == list(range(1, res.state.t + 1))
+        assert res.state.x is res.x
+        assert not x0.any()
+
+
+def test_baseline_state_sigma_is_next_inverse_step_size(problem):
+    cfg = BaselineConfig(alpha=0.05, schedule="inverse-sqrt", batch_size=8,
+                         max_iter=7, seed=2)
+    res = run_proxgen(problem, L1(0.1), np.zeros(problem.n), cfg)
+    assert [r.sigma_used for r in res.trace] == [
+        1.0 / cfg.step_size(t) for t in range(1, 8)]
+    assert res.state.sigma == 1.0 / cfg.step_size(8)
+
+
+def attribute_reads(tree, skip):
+    """Names read as attributes anywhere in tree except in the methods
+    skip names as (class name, method name)."""
+    names = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef) and (cls, child.name) in skip:
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx,
+                                                               ast.Load):
+                names.add(child.attr)
+            visit(child, cls)
+
+    visit(tree, None)
+    return names
+
+
+@pytest.mark.parametrize("config_class", [SolverConfig, BaselineConfig],
+                         ids=lambda c: c.__name__)
+def test_every_config_field_is_read(config_class):
+    # a field that only its own check of values reads changes no run: it
+    # is an option the code ignores
+    skip = {(config_class.__name__, "validated")}
+    read = set()
+    for path in sorted(Path(sr2kit.__file__).parent.glob("*.py")):
+        read |= attribute_reads(ast.parse(path.read_text()), skip)
+    fields = {f.name for f in dataclasses.fields(config_class)}
+    assert sorted(fields - read) == []

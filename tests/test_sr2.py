@@ -38,7 +38,6 @@ class TestConfigValidation:
         assert cfg.eta1 == pytest.approx(7.5e-4)
         assert cfg.eta2 == pytest.approx(0.99)
         assert cfg.gamma1 == pytest.approx(5.56)
-        assert cfg.gamma2 == pytest.approx(2.95)
         assert cfg.gamma3 == pytest.approx(0.8)
 
     def test_eta_order(self):
@@ -46,15 +45,6 @@ class TestConfigValidation:
             SolverConfig(eta1=0.0).validated()
         with pytest.raises(ValueError):
             SolverConfig(eta1=0.5, eta2=0.4).validated()
-
-    def test_gamma_disorder_warns(self):
-        with pytest.warns(UserWarning, match="gamma2"):
-            SolverConfig(gamma1=3.0, gamma2=2.0).validated()
-
-    def test_gamma_disorder_strict(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gamma1=3.0, gamma2=2.0,
-                         allow_gamma_disorder=False).validated()
 
     def test_sigma_order(self):
         with pytest.raises(ValueError):
