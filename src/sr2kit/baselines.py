@@ -67,18 +67,19 @@ def _draw(p, x, rng, batch):
     return sample, f, g
 
 
-def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch):
+def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
     """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
 
-    Returns x', the prox step and (sample, f(x) on the sample)."""
+    r_x is R(x) if the caller holds it (see shifted_prox).  Returns x', the
+    prox step and (sample, f(x) on the sample)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     sample, f, g = _draw(p, x, rng, batch)
-    step = shifted_prox(reg, x, g, 1.0 / alpha)
+    step = shifted_prox(reg, x, g, 1.0 / alpha, r_x)
     return x + step.s, step, (sample, f)
 
 
-def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch):
+def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
     """Unit-quadratic subproblem followed by interpolation:
     s = argmin_s g^T s + (1/2)||s||^2 + R(x+s);  x' = x + alpha * s.
     Only defined for convex regularizers.  Returns as proxgen_step."""
@@ -89,7 +90,7 @@ def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch):
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
     sample, f, g = _draw(p, x, rng, batch)
-    step = shifted_prox(reg, x, g, 1.0)
+    step = shifted_prox(reg, x, g, 1.0, r_x)
     return x + alpha * step.s, step, (sample, f)
 
 
@@ -99,12 +100,12 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     t0 = time.perf_counter()
     x, at_x = state.x, state.point
     alpha = cfg.step_size(state.t + 1)
+    r_x = at_x.reg_value(reg)
     x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
-                                       state.batch_size)
+                                       state.batch_size, r_x)
     at_new = _Point(x_new)
     s = x_new - x
-    F_full = (at_x.full_value(p) + at_x.reg_value(reg)
-              if cfg.record_full_objective else None)
+    F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
     state.x, state.point = x_new, at_new
     state.t += 1
     state.sigma = 1.0 / cfg.step_size(state.t + 1)
@@ -114,7 +115,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
         rho=float("nan"),
         step_norm_sq=float(s @ s),
         accepted=True,
-        F_sampled_before=f + at_x.reg_value(reg),
+        F_sampled_before=f + r_x,
         F_sampled_after=sample.value(x_new) + at_new.reg_value(reg),
         F_full=F_full,
         model_decrease=step.model_decrease,

@@ -163,7 +163,8 @@ class Sample:
         return self.problem._forward(_check_point(x, self.problem.n), self.rows)
 
     def value_of(self, fwd):
-        return float(self.problem._loss(fwd, self.rows).mean())
+        loss = self.problem._loss(fwd, self.rows)
+        return float(loss.sum() / loss.size)  # the bits of loss.mean()
 
     def grad_of(self, fwd):
         return self.problem._backward(fwd, self.rows)
@@ -339,7 +340,8 @@ class TinyMLP(Problem):
 def _sigmoid(t):
     """1 / (1 + e^-t), from e = e^-|t| <= 1 so that nothing overflows."""
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def _power_lmax(A, iters=200, tol=1e-12, seed=0):

@@ -188,16 +188,18 @@ def reg_value(reg: Regularizer, x) -> float:
     return reg.value(np.asarray(x, dtype=float))
 
 
-def shifted_prox(reg: Regularizer, x, g, sigma: float) -> StepVector:
+def shifted_prox(reg: Regularizer, x, g, sigma: float, r_x=None) -> StepVector:
     """Global minimizer of g^T s + (sigma/2)||s||^2 + R(x+s).
 
-    Requires sigma > 0 and a feasible anchor (R(x) finite).
+    Requires sigma > 0 and a feasible anchor (R(x) finite).  r_x is R(x)
+    when the caller already holds it; by default it is computed here.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
-    r_x = reg.value(x)
+    if r_x is None:
+        r_x = reg.value(x)
     if not np.isfinite(r_x):
         raise InfeasibleAnchorError(
             f"anchor has infinite regularizer value under {reg}"

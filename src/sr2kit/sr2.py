@@ -14,11 +14,14 @@ Full batch (batch == N, which the batch never leaves once it gets there):
 no sample is drawn and the RNG is left untouched; the data set is read in
 place; and the forward pass, f(x), the gradient and R(x) are kept while x
 is unchanged, so a rejected step only changes sigma, as in the
-deterministic R2.  The forward pass computed for f(x + s) is kept with the
-trial point, so an accepted point's gradient needs no second forward pass.
-Any full objective f(x) + R(x) (rho_mode="full", record_full_objective,
-the "full" assumption guard) is evaluated at most once per iterate in
-every mode.
+deterministic R2.  The prox step is kept too, with the sigma it was taken
+for: at an unchanged x it depends on sigma alone, and sigma only repeats
+there once it has overflowed to inf, so the steps of that dead state cost
+only their record.  The forward pass computed for f(x + s) is kept with
+the trial point, so an accepted point's gradient needs no second forward
+pass.  Any full objective f(x) + R(x) (rho_mode="full",
+record_full_objective, the "full" assumption guard) is evaluated at most
+once per iterate in every mode.
 
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
@@ -26,7 +29,8 @@ window is full and the mean falls below epsilon^2.
 
 One run loop, _drive, serves SR2 and both baselines: it checks that R(x0)
 is finite, builds the SolverState, calls the solver's own step (for run,
-sr2_step) up to max_iter times, stops on the window and returns the
+sr2_step) up to max_iter times, tests the window after each accepted step
+(a rejection leaves the window and its mean as they were) and returns the
 RunResult.
 """
 
@@ -106,16 +110,16 @@ class SolverConfig:
 class _Point:
     """A point with the values at it that do not depend on the sample:
     R(x) and the full-batch forward pass, f(x) and gradient, each computed
-    on first use.  SolverState keeps the iterate's _Point while state.x is
-    that same array, so rejected steps reuse them; an accepted step
-    replaces state.x (it is never written in place) and with it the
-    _Point."""
+    on first use, and the last full-batch prox step with its sigma.
+    SolverState keeps the iterate's _Point while state.x is that same
+    array, so rejected steps reuse them; an accepted step replaces state.x
+    (it is never written in place) and with it the _Point."""
 
-    __slots__ = ("x", "_r", "_fwd", "_f", "_g")
+    __slots__ = ("x", "_r", "_fwd", "_f", "_g", "_prox")
 
     def __init__(self, x):
         self.x = x
-        self._r = self._fwd = self._f = self._g = None
+        self._r = self._fwd = self._f = self._g = self._prox = None
 
     def reg_value(self, reg):
         if self._r is None:
@@ -138,6 +142,16 @@ class _Point:
             full = p.sample(ALL)
             self._g = full.grad_of(self._forward(full))
         return self._g
+
+    def full_prox(self, p, reg, sigma):
+        """The prox step from the full gradient, computed again only when
+        sigma differs from the last call's.  Its arrays are shared between
+        the calls and never written in place."""
+        if self._prox is None or self._prox[0] != sigma:
+            step = shifted_prox(reg, self.x, self.full_grad(p), sigma,
+                                self.reg_value(reg))
+            self._prox = (sigma, step)
+        return self._prox[1]
 
     def value_on(self, p, sample):
         """f on the sample; None stands for the full batch."""
@@ -235,18 +249,20 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     at_x = state.point
     if at_x is None or at_x.x is not x:
         at_x = state.point = _Point(x)
+    r_x = at_x.reg_value(reg)
     if batch == p.N:
-        # the sample is {0..N-1}: no draw, and f, g at an unchanged x are
-        # reused from the rejected steps before
+        # the sample is {0..N-1}: no draw, and f, g and (while sigma
+        # repeats) the prox step at an unchanged x are reused from the
+        # rejected steps before
         sample = None
         g = at_x.full_grad(p)
         f_before = at_x.full_value(p)
+        step = at_x.full_prox(p, reg, sigma)
     else:
         sample = p.sample(draw_sample(state.rng, p.N, batch))
         f_before, g = sample.value_and_grad(x)
-    r_x = at_x.reg_value(reg)
+        step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x
-    step = shifted_prox(reg, x, g, sigma)
     s = step.s
     step_norm_sq = float(s @ s)
     trial = _Point(x + s) if step_norm_sq > 0.0 else None
@@ -356,7 +372,12 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     trace = []
     stop_reason = "budget"
     for _ in range(cfg.max_iter):
-        trace.append(step(p, reg, state, cfg))
+        record = step(p, reg, state, cfg)
+        trace.append(record)
+        # only an accepted step appends to the window; after a rejection
+        # its mean is the one already found above epsilon^2
+        if not record.accepted:
+            continue
         est = stationarity_estimate(state)
         if est is not None and est <= epsilon**2:
             stop_reason = "stationarity"

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sr2kit import problems
+from sr2kit import problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import NumericalFailureError
 from sr2kit.problems import (
@@ -191,6 +191,22 @@ def test_full_batch_lasso_with_dead_state(lasso_instance):
     assert dead >= 1000
 
 
+@pytest.mark.parametrize("epsilon,stop_reason", [(1e-12, "stationarity"),
+                                                (1e-14, "budget")])
+def test_full_batch_lasso_full_window(lasso_instance, epsilon, stop_reason):
+    # a window of 5 is full after the fifth accepted step, long before
+    # sigma overflows, so rejections with a full window, after which the
+    # package skips the stop test, occur: at epsilon 1e-12 until the run
+    # stops on the window, at 1e-14 through the dead state to the budget
+    p = lasso_c5(lasso_instance)
+    cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=epsilon, seed=0,
+                       window=5)
+    res = assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+    assert res.stop_reason == stop_reason
+    full = [i for i, r in enumerate(res.trace) if r.accepted][4]
+    assert any(not r.accepted for r in res.trace[full + 1:])
+
+
 @pytest.mark.parametrize("rho_mode", ["sampled", "full"])
 @pytest.mark.parametrize("record", [False, True])
 def test_full_batch_lasso_full_objective(lasso_instance, rho_mode, record):
@@ -292,6 +308,46 @@ def test_full_batch_gradient_once_per_iterate(lasso_instance, index_checks):
     assert index_checks["check"] == 0
     fresh = np.random.default_rng(cfg.seed).bit_generator.state
     assert res.state.rng.bit_generator.state == fresh
+
+
+def counted(monkeypatch, module, name):
+    """Replaces module.name by a wrapper that counts its calls."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_full_batch_prox_once_per_iterate_and_sigma(lasso_instance,
+                                                    monkeypatch):
+    # at full batch the prox step depends on sigma alone while x is
+    # unchanged; in the dead state sigma stays inf and the step is reused
+    calls = counted(monkeypatch, sr2, "shifted_prox")
+    p = lasso_c5(lasso_instance)
+    cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-6, seed=0)
+    res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+    pairs, iterate = set(), 0
+    for r in res.trace:
+        pairs.add((iterate, r.sigma_used))
+        iterate += r.accepted
+    assert calls["shifted_prox"] == len(pairs) < len(res.trace) - 1000
+
+
+@pytest.mark.parametrize("window", [25, 5])
+def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
+                                              window):
+    calls = counted(monkeypatch, sr2, "stationarity_estimate")
+    p = lasso_c5(lasso_instance)
+    cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-14, seed=0,
+                       window=window)
+    res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
+    accepted = sum(r.accepted for r in res.trace)
+    assert calls["stationarity_estimate"] == accepted < len(res.trace) - 1000
 
 
 @pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",

@@ -67,6 +67,17 @@ def test_sigmoid_matches_masked_formula_bitwise(values):
     assert problems._sigmoid(t).tobytes() == _sigmoid(t).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=300))
+def test_sum_over_size_is_mean_bitwise(values):
+    # Sample.value_of divides the sum of the terms by their count: np.mean
+    # is the same reduction followed by the same division
+    terms = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        assert (np.float64(terms.sum() / terms.size).tobytes()
+                == np.mean(terms).tobytes())
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12),
        st.floats(-4.0, 4.0))

@@ -11,7 +11,7 @@ import sr2kit
 from sr2kit import baselines, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import InfeasibleAnchorError
-from sr2kit.problems import make_least_squares
+from sr2kit.problems import make_least_squares, make_logistic
 from sr2kit.regularizers import L1, L0Ball
 from sr2kit.sr2 import SolverConfig, run
 
@@ -66,6 +66,29 @@ class TestBoundary:
         assert [r.t for r in res.trace] == list(range(1, res.state.t + 1))
         assert res.state.x is res.x
         assert not x0.any()
+
+
+@pytest.mark.parametrize("solver,config_class,options", SOLVERS)
+def test_regularizer_evaluations_per_step(monkeypatch, solver, config_class,
+                                          options):
+    # the prox step takes R(x) from the iterate's _Point, which keeps it
+    # across steps; only R(x + s) and R at a new iterate are computed
+    calls = []
+    value = L1.value
+    monkeypatch.setattr(L1, "value",
+                        lambda self, x: calls.append(1) or value(self, x))
+    p = make_logistic(np.random.default_rng(7), 2000, 50)
+    cfg = config_class(batch_size=128, max_iter=150, seed=3, **options)
+    res = solver(p, L1(1e-4), np.zeros(p.n), cfg)
+    steps = len(res.trace)
+    if solver is run:
+        # R at an accepted point is computed when the next step starts there
+        new_iterates = sum(r.accepted for r in res.trace[:-1])
+        assert new_iterates > 0
+        assert len(calls) == 1 + steps + new_iterates
+    else:
+        # R(x') for the trace, which the next step reuses as its R(x)
+        assert len(calls) == 1 + 2 * steps
 
 
 def test_baseline_state_sigma_is_next_inverse_step_size(problem):
