@@ -11,7 +11,6 @@ regularizer and double-checks one of them against a brute-force scan.
 import numpy as np
 
 from sr2kit import L0, L1, L0Ball, Zero, shifted_prox
-from sr2kit.regularizers import prox_grid_oracle
 
 x = np.array([1.0, -0.3, 0.02, 2.5])
 g = np.array([0.4, -0.1, 0.5, -1.0])
@@ -41,7 +40,10 @@ st = shifted_prox(L1(0.5), x, g, sigma)
 print("model decrease:", st.model_decrease)
 print("certificate (sigma/2)||s||^2:", 0.5 * sigma * float(st.s @ st.s))
 
-# Sanity: a dense 1-D scan cannot beat the closed form.
-s_grid = prox_grid_oracle(L0(0.5), x[0], g[0], sigma, -5, 5, 1e-4)
+# Sanity: a dense 1-D scan cannot beat the closed form.  The scan adds the
+# point s = -x[0], where the L0 penalty drops, since the grid misses it.
+grid = np.append(np.arange(-5, 5 + 1e-4, 1e-4), -x[0])
+scan = g[0] * grid + 0.5 * sigma * grid**2 + 0.5 * (x[0] + grid != 0.0)
+s_grid = grid[np.argmin(scan)]
 s_exact = shifted_prox(L0(0.5), x, g, sigma).s[0]
 print("closed form s[0] =", s_exact, " grid scan =", s_grid)

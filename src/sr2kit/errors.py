@@ -10,10 +10,6 @@ class InfeasibleAnchorError(SR2Error, ValueError):
     proximal subproblem is not well-posed there."""
 
 
-class UnsupportedOracleError(SR2Error, ValueError):
-    """The 1-D grid oracle only handles coordinate-separable regularizers."""
-
-
 class UnsupportedRegularizerError(SR2Error, ValueError):
     """The solver does not handle this regularizer (e.g. a nonconvex
     penalty passed to a convex-only method)."""

@@ -137,16 +137,27 @@ def parse_config(path):
         )
     )
 
-    # validate SR2 overrides eagerly so config errors surface before any run
-    if "sr2" in solvers:
-        sr2.SolverConfig(**solvers["sr2"]).validated()
+    batch_size = int(run_section.get("batch_size", 128))
+    if batch_size < 1:
+        raise ParseError(f"run.batch_size must be >= 1, got {batch_size}")
+    for key in ("max_iter", "epochs"):
+        value = run_section.get(key)
+        if value is not None and (type(value) is not int or value < 0):
+            raise ParseError(f"run.{key} must be an integer >= 0, got {value!r}")
+    # validate each solver's overrides eagerly so config errors surface
+    # before any run; alpha 'auto' is resolved per problem, when a cell runs
+    for name, overrides in solvers.items():
+        cell = dict(overrides)
+        if cell.get("alpha") == "auto":
+            del cell["alpha"]
+        _SOLVERS[name][0](**cell).validated()
 
     spec = ExperimentSpec(
         problem=prob,
         regularizers=regs,
         solvers=solvers,
         seeds=seeds,
-        batch_size=int(run_section.get("batch_size", 128)),
+        batch_size=batch_size,
         max_iter=run_section.get("max_iter"),
         epochs=run_section.get("epochs"),
         prune_thresholds=thresholds,

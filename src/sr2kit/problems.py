@@ -40,7 +40,6 @@ __all__ = [
     "make_sparse_recovery",
     "load_csv",
     "load_libsvm",
-    "check_gradient",
 ]
 
 
@@ -83,11 +82,14 @@ def _c_order(A):
 
 
 def _check_indices(idx, N):
-    """idx as a sorted index array; rejects an empty, out-of-range or
-    repeated index set.  One sort serves all three checks."""
-    idx = np.sort(np.asarray(idx, dtype=int), axis=None)
+    """idx as a sorted index array; rejects an empty, non-integer (float or
+    boolean mask), out-of-range or repeated index set."""
+    idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty sample set")
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"sample indices must be integers, got {idx.dtype}")
+    idx = np.sort(idx, axis=None)
     if idx[0] < 0 or idx[-1] >= N:
         raise ValueError(f"sample indices out of range [0, {N})")
     if (idx[1:] == idx[:-1]).any():
@@ -529,21 +531,3 @@ def load_libsvm(path, n_features=None):
             X[i, j] = v
     return Dataset(features=X, targets=np.array(labels))
 
-
-def check_gradient(p, x, h=1e-6, rtol=1e-5, atol=1e-8):
-    """Central finite-difference certification of full_grad at x.
-
-    Returns (ok, max_rel_err); each coordinate of the analytic gradient
-    must match the difference quotient within rtol (plus atol for near-zero
-    components).
-    """
-    x = np.asarray(x, dtype=float)
-    g = p.full_grad(x)
-    worst = 0.0
-    for i in range(p.n):
-        e = np.zeros_like(x)
-        e[i] = h
-        fd = (p.full_value(x + e) - p.full_value(x - e)) / (2.0 * h)
-        err = abs(fd - g[i]) / (abs(fd) + atol / rtol)
-        worst = max(worst, err)
-    return worst <= rtol, worst

@@ -13,12 +13,11 @@ target point w = x + s.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleAnchorError, UnsupportedOracleError
+from .errors import InfeasibleAnchorError
 
 __all__ = [
     "Zero",
@@ -29,8 +28,6 @@ __all__ = [
     "StepVector",
     "reg_value",
     "shifted_prox",
-    "prox_grid_oracle",
-    "l0ball_enumeration_oracle",
 ]
 
 
@@ -41,18 +38,11 @@ class Zero:
     def value(self, x):
         return 0.0
 
-    def scalar_value(self, xi):
-        return 0.0
-
     def prox_target(self, u, sigma):
         return np.array(u, dtype=float, copy=True)
 
     @property
     def convex(self):
-        return True
-
-    @property
-    def separable(self):
         return True
 
     def __str__(self):
@@ -72,9 +62,6 @@ class L1:
     def value(self, x):
         return self.lam * float(np.sum(np.abs(x)))
 
-    def scalar_value(self, xi):
-        return self.lam * abs(xi)
-
     def prox_target(self, u, sigma):
         u = np.asarray(u, dtype=float)
         tau = self.lam / sigma
@@ -82,10 +69,6 @@ class L1:
 
     @property
     def convex(self):
-        return True
-
-    @property
-    def separable(self):
         return True
 
     def __str__(self):
@@ -105,9 +88,6 @@ class L0:
     def value(self, x):
         return self.lam * float(np.count_nonzero(x))
 
-    def scalar_value(self, xi):
-        return self.lam if xi != 0.0 else 0.0
-
     def prox_target(self, u, sigma):
         # Keeping u_i costs (sigma/2)u_i^2 less than zeroing it but adds lam;
         # the break-even magnitude is sqrt(2 lam / sigma).  At the tie we
@@ -121,10 +101,6 @@ class L0:
     @property
     def convex(self):
         return self.lam == 0.0
-
-    @property
-    def separable(self):
-        return True
 
     def __str__(self):
         return f"l0(lam={self.lam:g})"
@@ -157,10 +133,6 @@ class L0Ball:
 
     @property
     def convex(self):
-        return False
-
-    @property
-    def separable(self):
         return False
 
     def __str__(self):
@@ -211,49 +183,3 @@ def shifted_prox(reg: Regularizer, x, g, sigma: float, r_x=None) -> StepVector:
     model_decrease = r_x - float(g @ s) - r_w
     return StepVector(s=s, model_decrease=model_decrease, reg_at_target=r_w)
 
-
-def prox_grid_oracle(reg, x, g, sigma, lo, hi, step):
-    """Brute-force 1-D minimizer of g*s + (sigma/2)s^2 + R_scalar(x+s).
-
-    Test-only certificate for the separable variants; L0Ball is covered by
-    l0ball_enumeration_oracle instead.
-    """
-    if not reg.separable:
-        raise UnsupportedOracleError(f"{reg} is not coordinate-separable")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    grid = np.arange(lo, hi + step, step)
-    if lo <= -x <= hi:
-        # the floating grid never lands on x + s == 0 exactly, so the L0
-        # breakpoint must be scanned explicitly
-        grid = np.append(grid, -x)
-    vals = g * grid + 0.5 * sigma * grid**2
-    if isinstance(reg, L1):
-        vals = vals + reg.lam * np.abs(x + grid)
-    elif isinstance(reg, L0):
-        vals = vals + np.where(x + grid != 0.0, reg.lam, 0.0)
-    return float(grid[np.argmin(vals)])
-
-
-def l0ball_enumeration_oracle(k, x, g, sigma):
-    """Exhaustive minimization of the L0Ball subproblem over all supports
-    of size <= k.  Exponential in n; test-only (n <= 12 or so)."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    n = x.size
-    u = x - g / sigma
-    best_obj = np.inf
-    best_w = np.zeros(n)
-    for size in range(min(k, n) + 1):
-        for support in itertools.combinations(range(n), size):
-            w = np.zeros(n)
-            idx = list(support)
-            w[idx] = u[idx]
-            s = w - x
-            obj = float(g @ s) + 0.5 * sigma * float(s @ s)
-            if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_w = w
-    return best_w, best_obj

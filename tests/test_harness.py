@@ -107,6 +107,22 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="gamma2"):
             harness.parse_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("old,new", [
+        ("  batch_size: 40\n  max_iter: 60\n",
+         "  batch_size: 0\n  epochs: 1\n"),
+        ("sr2: {}", "proxgen: {schedule: cosine}"),
+        ("max_iter: 60", "max_iter: -3"),
+        ("max_iter: 60", "max_iter: 2.5"),
+        ("max_iter: 60", "epochs: -1"),
+    ], ids=["batch_size_0", "proxgen_schedule", "max_iter_negative",
+            "max_iter_float", "epochs_negative"])
+    def test_bad_run_or_solver_config_rejected_before_any_run(
+            self, tmp_path, old, new):
+        assert old in BASIC_CONFIG
+        bad = BASIC_CONFIG.replace(old, new)
+        with pytest.raises(ValueError):
+            harness.parse_config(write_config(tmp_path, bad))
+
 
 class TestModelIO:
     def test_round_trip(self, tmp_path):

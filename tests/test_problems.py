@@ -15,7 +15,6 @@ from sr2kit.problems import (
     LeastSquares,
     Logistic,
     TinyMLP,
-    check_gradient,
     draw_sample,
     load_csv,
     load_libsvm,
@@ -24,6 +23,8 @@ from sr2kit.problems import (
     make_sparse_recovery,
     make_tiny_mlp,
 )
+
+from conftest import check_gradient
 
 
 KINDS = st.sampled_from(["least_squares", "logistic", "mlp_regression",
@@ -264,7 +265,8 @@ class TestSampling:
         assert np.all(np.diff(idx) > 0)  # sorted and unique
         assert idx[0] >= 0 and idx[-1] < N
 
-    @pytest.mark.parametrize("idx", [[], [3], [-1], [0, 2, 0]])
+    @pytest.mark.parametrize("idx", [[], [3], [-1], [0, 2, 0], [0.9, 2.7],
+                                     np.array([False, True])])
     def test_sample_rejects_bad_index_sets(self, idx):
         p = LeastSquares(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):

@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from sr2kit.errors import InfeasibleAnchorError, UnsupportedOracleError
+from sr2kit.errors import InfeasibleAnchorError
 from sr2kit.regularizers import (
     L0,
     L1,
     L0Ball,
     Zero,
-    l0ball_enumeration_oracle,
-    prox_grid_oracle,
     reg_value,
     shifted_prox,
 )
 
+from conftest import l0ball_enumeration_oracle, prox_grid_oracle, scalar_value
+
 
 def scalar_objective(reg, x, g, sigma, s):
-    return g * s + 0.5 * sigma * s**2 + reg.scalar_value(x + s)
+    return g * s + 0.5 * sigma * s**2 + scalar_value(reg, x + s)
 
 
 class TestRegValue:
@@ -96,7 +96,7 @@ class TestGridOracle:
         assert s == pytest.approx(-0.5, abs=1e-5)
 
     def test_l0ball_unsupported(self):
-        with pytest.raises(UnsupportedOracleError):
+        with pytest.raises(ValueError):
             prox_grid_oracle(L0Ball(1), 0.0, 1.0, 1.0, -5, 5, 1e-3)
 
     def test_bad_bounds_and_step(self):
@@ -118,7 +118,7 @@ def random_scalar_instances(rng, count):
 def test_prox_beats_grid_oracle_randomized(variant):
     # the grid oracle's value is an upper bound on the true minimum, so
     # the exact prox objective must come in at or below it
-    rng = np.random.default_rng(hash(variant) % 2**32)
+    rng = np.random.default_rng({"zero": 21, "l1": 22, "l0": 23}[variant])
     lam, xs, gs, sigmas = random_scalar_instances(rng, 10_000)
     for i in range(10_000):
         reg = {"zero": Zero(), "l1": L1(lam[i]), "l0": L0(lam[i])}[variant]

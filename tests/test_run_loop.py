@@ -132,3 +132,41 @@ def test_every_config_field_is_read(config_class):
         read |= attribute_reads(ast.parse(path.read_text()), skip)
     fields = {f.name for f in dataclasses.fields(config_class)}
     assert sorted(fields - read) == []
+
+
+def loaded_names(tree):
+    """Names read anywhere in tree, as plain names or as attributes; a
+    definition, an import and a string in __all__ read none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_exported_name_is_test_only():
+    # a public name that only the tests use is test code shipped in src/;
+    # ROADMAP item 1 (the sigma cap and the scaled stationarity measure)
+    # decides whether these two stay
+    pending = {"sigma_succ_bound", "stationarity_surrogate"}
+    package = Path(sr2kit.__file__).parent
+    root = Path(__file__).parent.parent
+    exported, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        exported |= exported_names(ast.parse(path.read_text()))
+    for path in sorted([*package.glob("*.py"), *(root / "bench").glob("*.py"),
+                        *(root / "demos").glob("*.py")]):
+        read |= loaded_names(ast.parse(path.read_text()))
+    assert sorted(exported - read - pending) == []
