@@ -8,6 +8,7 @@ import os
 import sys
 
 from . import diagnostics, harness
+from .errors import ParseError
 
 
 def _cmd_run(args):
@@ -105,7 +106,11 @@ def main(argv=None):
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:  # a bad config or file: 2, as argparse gives
+        print(f"sr2kit: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ of (config, seeds) except the wall-time trace column.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 import math
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,16 +43,28 @@ TRACE_COLUMNS = (
     "F_sampled_before", "F_sampled_after", "F_full", "model_decrease",
     "batch_size", "assumption_rejected", "nnz", "wall_time",
 )
-#: wall-clock columns are excluded from determinism comparisons
-NONDETERMINISTIC_COLUMNS = ("wall_time",)
 
 DEFAULT_L1_GRID = (1e-4, 1e-3, 1e-2)
 
-_PROBLEM_KEYS = {
-    "kind", "N", "n", "noise_sd", "separation", "support_size", "hidden",
-    "task", "data", "format", "gen_seed",
+_SECTIONS = {"problem": dict, "regularizers": list | None,
+             "solvers": dict | None, "run": dict | None}
+_DATA = {"data": str, "format": "csv"}
+#: problem kind -> the keys build_problem reads for it: a required key is
+#: given by its type, an optional one by its default
+_PROBLEMS = {
+    "least_squares": {"N": int, "n": int, "noise_sd": 0.0, "gen_seed": 0},
+    "logistic": {"N": int, "n": int, "separation": 1.0, "gen_seed": 0},
+    "sparse_recovery": {"N": int, "n": int, "support_size": 10,
+                        "noise_sd": 0.0, "gen_seed": 0},
+    "mlp": {**_DATA, "hidden": 8, "task": "regression", "gen_seed": 0},
+    "data_least_squares": _DATA,
+    "data_logistic": _DATA,
 }
-_RUN_KEYS = {"seeds", "batch_size", "max_iter", "epochs", "prune_thresholds"}
+#: regularizer kind -> class; its keys and their types are its fields
+_REGULARIZERS = {"zero": Zero, "l1": L1, "l0": L0, "l0ball": L0Ball}
+#: run key -> default; the types are those of the ExperimentSpec fields
+_RUN = {"seeds": [0], "batch_size": 128, "max_iter": None, "epochs": None,
+        "prune_thresholds": diagnostics.DEFAULT_PRUNE_THRESHOLDS}
 
 #: solver name -> (config class, module, runner name); the runner is looked
 #: up on its module when a cell runs, so a function patched there is used
@@ -61,117 +75,123 @@ _SOLVERS = {"sr2": (sr2.SolverConfig, sr2, "run"),
 
 @dataclass
 class ExperimentSpec:
-    problem: dict
+    problem: dict               # kind and the keys _PROBLEMS gives it
     regularizers: list          # list of Regularizer
     solvers: dict               # name -> override dict
-    seeds: list
+    seeds: list[int]
     batch_size: int
     max_iter: int | None
     epochs: int | None
-    prune_thresholds: tuple
-    skipped: list = field(default_factory=list)  # (solver, reg) pairs dropped
+    prune_thresholds: tuple[float, ...]
+    skipped: list = field(default_factory=list)  # (solver, reg tag) pairs
 
 
-def _reject_unknown(section, mapping, allowed):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ParseError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
+def _read(where, value, tp):
+    """value as type tp.  An int must be written as one; a float may be any
+    number or a numeric string (YAML reads 1e-4 as a string); a list is
+    read element by element, and a union as its first member that fits."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        for member in args:
+            with contextlib.suppress(ParseError):
+                return _read(where, value, member)
+    elif origin in (list, tuple):
+        if isinstance(value, list):
+            return origin(_read(f"{where}[{i}]", v, args[0])
+                          for i, v in enumerate(value))
+    elif isinstance(value, bool) != (tp is bool):
+        pass  # a bool is not a number, and only a bool is a bool
+    elif tp is float and isinstance(value, (int, float, str)):
+        with contextlib.suppress(ValueError, OverflowError):
+            return float(value)
+    elif isinstance(value, tp):
+        return value
+    raise ParseError(f"{where} must be {getattr(tp, '__name__', tp)}, got {value!r}")
 
 
-def _build_regularizer(entry):
-    kind = entry.get("kind")
-    if kind == "zero":
-        _reject_unknown("regularizers", entry, {"kind"})
-        return Zero()
-    if kind == "l1":
-        _reject_unknown("regularizers", entry, {"kind", "lam"})
-        return L1(float(entry["lam"]))
-    if kind == "l0":
-        _reject_unknown("regularizers", entry, {"kind", "lam"})
-        return L0(float(entry["lam"]))
-    if kind == "l0ball":
-        _reject_unknown("regularizers", entry, {"kind", "k"})
-        return L0Ball(int(entry["k"]))
-    raise ParseError(f"unknown regularizer kind {kind!r}")
+def _read_keys(where, section, hints, required=()):
+    """The mapping section, which may hold only the keys of hints and must
+    hold those of required, with each value read by its type in hints."""
+    if not isinstance(section, dict):
+        raise ParseError(f"[{where}] must be a mapping, got {section!r}")
+    for what, keys in (("unknown", set(section) - set(hints)),
+                       ("missing", set(required) - set(section))):
+        if keys:
+            raise ParseError(f"{what} key(s) in [{where}]: "
+                             f"{', '.join(sorted(map(str, keys)))}")
+    return {key: _read(f"{where}.{key}", value, hints[key])
+            for key, value in section.items()}
+
+
+def _kind(where, section, table):
+    """The entry of table that the mapping section names by its kind."""
+    kind = _read(where, section, dict).get("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ParseError(f"[{where}] needs a kind out of "
+                         f"{', '.join(table)}, got {kind!r}")
+    return table[kind]
+
+
+def _regularizer(where, entry):
+    cls = _kind(where, entry, _REGULARIZERS)
+    hints = typing.get_type_hints(cls)
+    kw = _read_keys(where, entry, {"kind": str, **hints}, hints)
+    del kw["kind"]
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ParseError(f"[{where}] {exc}") from None
 
 
 def parse_config(path):
-    """Load and validate a YAML experiment config into an ExperimentSpec."""
+    """Load a YAML experiment config into an ExperimentSpec.  Every config
+    error, a key that no code reads included, is a ParseError raised here."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ParseError(f"config root must be a mapping, got {type(raw).__name__}")
-    _reject_unknown("<root>", raw, {"problem", "regularizers", "solvers", "run"})
+        raw = _read_keys("config", yaml.safe_load(fh), _SECTIONS, ["problem"])
 
-    prob = raw.get("problem")
-    if not isinstance(prob, dict) or "kind" not in prob:
-        raise ParseError("config needs a [problem] section with a 'kind'")
-    _reject_unknown("problem", prob, _PROBLEM_KEYS)
+    keys = _kind("problem", raw["problem"], _PROBLEMS)
+    required = [key for key, v in keys.items() if isinstance(v, type)]
+    hints = {key: v if key in required else type(v) for key, v in keys.items()}
+    prob = {**keys, **_read_keys("problem", raw["problem"],
+                                 {"kind": str, **hints}, required)}
 
-    reg_entries = raw.get("regularizers")
-    if reg_entries is None:
-        reg_entries = [{"kind": "l1", "lam": lam} for lam in DEFAULT_L1_GRID]
-    if not reg_entries:
+    entries = raw.get("regularizers")
+    if entries is None:
+        entries = [{"kind": "l1", "lam": lam} for lam in DEFAULT_L1_GRID]
+    if not entries:
         raise ParseError("regularizer grid must be nonempty")
-    regs = [_build_regularizer(e) for e in reg_entries]
+    regs = [_regularizer(f"regularizers[{i}]", entry)
+            for i, entry in enumerate(entries)]
 
-    solver_section = raw.get("solvers") or {"sr2": {}}
-    _reject_unknown("solvers", solver_section, _SOLVERS)
-    if not solver_section:
-        raise ParseError("solver grid must be nonempty")
     solvers = {}
-    for name, overrides in solver_section.items():
-        overrides = dict(overrides or {})
-        allowed = {f.name for f in dataclasses.fields(_SOLVERS[name][0])}
-        _reject_unknown(f"solvers.{name}", overrides, allowed)
-        solvers[name] = overrides
+    for name, section in _read_keys("solvers", raw.get("solvers") or {"sr2": {}},
+                                    dict.fromkeys(_SOLVERS, dict | None)).items():
+        config_class = _SOLVERS[name][0]
+        hints = typing.get_type_hints(config_class)
+        del hints["seed"]  # each cell runs with its own seed
+        section = dict(section or {})
+        if "alpha" in hints and section.get("alpha") == "auto":
+            del section["alpha"]  # the default: resolved per problem
+        solvers[name] = _read_keys(f"solvers.{name}", section, hints)
+        try:
+            config_class(**solvers[name]).validated()
+        except ValueError as exc:
+            raise ParseError(f"[solvers.{name}] {exc}") from None
 
-    run_section = raw.get("run") or {}
-    _reject_unknown("run", run_section, _RUN_KEYS)
-    seeds = _config_seeds(run_section)
-    if not seeds:
+    hints = typing.get_type_hints(ExperimentSpec)
+    run = {**_RUN, **_read_keys("run", raw.get("run") or {},
+                                {key: hints[key] for key in _RUN})}
+    if not run["seeds"]:
         raise ParseError("run.seeds must be nonempty")
-    thresholds = tuple(
-        float(t) for t in run_section.get(
-            "prune_thresholds", diagnostics.DEFAULT_PRUNE_THRESHOLDS
-        )
-    )
+    for key, low in (("batch_size", 1), ("max_iter", 0), ("epochs", 0)):
+        if run[key] is not None and run[key] < low:
+            raise ParseError(f"run.{key} must be >= {low}, got {run[key]}")
 
-    batch_size = int(run_section.get("batch_size", 128))
-    if batch_size < 1:
-        raise ParseError(f"run.batch_size must be >= 1, got {batch_size}")
-    for key in ("max_iter", "epochs"):
-        value = run_section.get(key)
-        if value is not None and (type(value) is not int or value < 0):
-            raise ParseError(f"run.{key} must be an integer >= 0, got {value!r}")
-    # validate each solver's overrides eagerly so config errors surface
-    # before any run; alpha 'auto' is resolved per problem, when a cell runs
-    for name, overrides in solvers.items():
-        cell = dict(overrides)
-        if cell.get("alpha") == "auto":
-            del cell["alpha"]
-        _SOLVERS[name][0](**cell).validated()
-
-    spec = ExperimentSpec(
-        problem=prob,
-        regularizers=regs,
-        solvers=solvers,
-        seeds=seeds,
-        batch_size=batch_size,
-        max_iter=run_section.get("max_iter"),
-        epochs=run_section.get("epochs"),
-        prune_thresholds=thresholds,
-    )
+    spec = ExperimentSpec(problem=prob, regularizers=regs, solvers=solvers, **run)
     # proxsgd cannot run nonconvex regularizers; drop those cells up front
-    if "proxsgd" in spec.solvers:
-        for reg in regs:
-            if not reg.convex:
-                spec.skipped.append(("proxsgd", str(reg)))
+    if "proxsgd" in solvers:
+        spec.skipped = [("proxsgd", _reg_tag(reg)) for reg in regs if not reg.convex]
     return spec
-
-
-def _config_seeds(run_section):
-    return list(run_section.get("seeds", [0]))
 
 
 def _copy_config(config_path, out_dir, seeds):
@@ -180,7 +200,7 @@ def _copy_config(config_path, out_dir, seeds):
     with open(config_path, "rb") as fh:
         text = fh.read()
     raw = yaml.safe_load(text)
-    if _config_seeds(raw.get("run") or {}) != seeds:
+    if (raw.get("run") or {}).get("seeds", _RUN["seeds"]) != seeds:
         raw["run"] = {**(raw.get("run") or {}), "seeds": seeds}
         text = yaml.safe_dump(raw, sort_keys=False).encode()
     with open(os.path.join(out_dir, "config.yaml"), "wb") as fh:
@@ -188,55 +208,35 @@ def _copy_config(config_path, out_dir, seeds):
 
 
 def build_problem(spec):
-    """Instantiate the problem described by spec.problem (seeded by
-    gen_seed, independent of the solver seeds)."""
+    """Instantiate the problem described by spec.problem, as parse_config
+    reads it (seeded by gen_seed, independent of the solver seeds)."""
     prob = spec.problem
     kind = prob["kind"]
-    rng = np.random.default_rng(int(prob.get("gen_seed", 0)))
+    if kind in ("data_least_squares", "data_logistic"):
+        ds = _load_dataset(prob)
+        cls = problems.Logistic if kind == "data_logistic" else problems.LeastSquares
+        return cls(ds.features, ds.targets, name=f"csv:{prob['data']}")
+    rng = np.random.default_rng(prob["gen_seed"])
     if kind == "least_squares":
-        return problems.make_least_squares(
-            rng, int(prob["N"]), int(prob["n"]),
-            noise_sd=float(prob.get("noise_sd", 0.0)),
-        )
+        return problems.make_least_squares(rng, prob["N"], prob["n"],
+                                           noise_sd=prob["noise_sd"])
     if kind == "logistic":
-        return problems.make_logistic(
-            rng, int(prob["N"]), int(prob["n"]),
-            separation=float(prob.get("separation", 1.0)),
-        )
+        return problems.make_logistic(rng, prob["N"], prob["n"],
+                                      separation=prob["separation"])
     if kind == "sparse_recovery":
-        inst = problems.make_sparse_recovery(
-            rng, int(prob["N"]), int(prob["n"]),
-            int(prob.get("support_size", 10)),
-            noise_sd=float(prob.get("noise_sd", 0.0)),
-        )
-        return inst.problem
-    if kind == "mlp":
-        ds = _load_dataset(prob)
-        return problems.make_tiny_mlp(
-            rng, ds, int(prob.get("hidden", 8)),
-            task=prob.get("task", "regression"),
-        )
-    if kind == "data_least_squares":
-        ds = _load_dataset(prob)
-        return problems.LeastSquares(ds.features, ds.targets,
-                                     name=f"csv:{prob['data']}")
-    if kind == "data_logistic":
-        ds = _load_dataset(prob)
-        return problems.Logistic(ds.features, ds.targets,
-                                 name=f"csv:{prob['data']}")
-    raise ParseError(f"unknown problem kind {kind!r}")
+        return problems.make_sparse_recovery(
+            rng, prob["N"], prob["n"], prob["support_size"],
+            noise_sd=prob["noise_sd"]).problem
+    return problems.make_tiny_mlp(rng, _load_dataset(prob), prob["hidden"],
+                                  task=prob["task"])
 
 
 def _load_dataset(prob):
-    path = prob.get("data")
-    if path is None:
-        raise ParseError(f"problem kind {prob['kind']!r} needs a 'data' path")
-    fmt = prob.get("format", "csv")
-    if fmt == "csv":
-        return problems.load_csv(path)
-    if fmt == "libsvm":
-        return problems.load_libsvm(path)
-    raise ParseError(f"unknown data format {fmt!r}")
+    if prob["format"] == "csv":
+        return problems.load_csv(prob["data"])
+    if prob["format"] == "libsvm":
+        return problems.load_libsvm(prob["data"])
+    raise ParseError(f"unknown data format {prob['format']!r}")
 
 
 def _reg_tag(reg):
@@ -312,7 +312,7 @@ def _resolve_alpha(overrides, p, solver):
         alpha = 1.0 / p.L_bound if p.L_bound else 1e-3
         if solver == "proxsgd":
             alpha = min(1.0, alpha)  # interpolation factor lives in (0, 1]
-    return float(alpha)
+    return alpha
 
 
 def _run_cell(spec, p, solver, reg, seed, max_iter):
@@ -405,7 +405,7 @@ def plan_cells(spec):
     cells = []
     for solver in spec.solvers:
         for reg in spec.regularizers:
-            if (solver, str(reg)) in skipped:
+            if (solver, _reg_tag(reg)) in skipped:
                 continue
             for seed in spec.seeds:
                 cells.append((solver, reg, seed))
@@ -423,9 +423,9 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
         _copy_config(config_path, out_dir, spec.seeds)
     p = build_problem(spec)
     if spec.max_iter is not None:
-        max_iter = int(spec.max_iter)
+        max_iter = spec.max_iter
     elif spec.epochs is not None:
-        max_iter = int(spec.epochs) * _epoch_length(p.N, spec.batch_size)
+        max_iter = spec.epochs * _epoch_length(p.N, spec.batch_size)
     else:
         max_iter = 1000
 

@@ -15,6 +15,10 @@ import pytest
 
 from sr2kit.regularizers import L0, L1, Zero
 
+#: trace columns that may differ between reruns of a config (wall-clock
+#: time); every other output is a function of (config, seeds)
+NONDETERMINISTIC_COLUMNS = ("wall_time",)
+
 
 def ista_reference(A, b, lam, tol=1e-10, max_iter=500_000):
     """Fixed-step proximal gradient for (1/2N)||Ax-b||^2 + lam||x||_1.

@@ -32,6 +32,7 @@ from sr2kit.regularizers import (
 from sr2kit.sr2 import SolverConfig, run, sigma_succ_bound
 
 from conftest import (
+    NONDETERMINISTIC_COLUMNS,
     check_gradient,
     l0ball_enumeration_oracle,
     lasso_objective,
@@ -291,7 +292,7 @@ def test_criterion_10_determinism(tmp_path):
     traces = sorted(f for f in os.listdir(out1) if f.startswith("trace_"))
     assert traces, "matrix produced no traces"
     drop = [harness.TRACE_COLUMNS.index(c)
-            for c in harness.NONDETERMINISTIC_COLUMNS]
+            for c in NONDETERMINISTIC_COLUMNS]
     for name in traces:
         _, rows1 = harness.read_trace_csv(os.path.join(out1, name))
         _, rows2 = harness.read_trace_csv(os.path.join(out2, name))

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from sr2kit import cli, harness
+from sr2kit import baselines, cli, harness, problems
 from sr2kit.errors import ParseError
 from sr2kit.regularizers import L1
+
+from conftest import NONDETERMINISTIC_COLUMNS
 
 BASIC_CONFIG = """\
 problem:
@@ -90,7 +92,7 @@ class TestParseConfig:
     def test_proxsgd_nonconvex_skipped_not_error(self, tmp_path):
         spec = harness.parse_config(
             write_config(tmp_path, CLASSIFICATION_CONFIG))
-        assert ("proxsgd", "l0(lam=0.01)") in spec.skipped
+        assert ("proxsgd", "l0_0.01") in spec.skipped
         cells = harness.plan_cells(spec)
         assert not any(s == "proxsgd" and str(r).startswith("l0(")
                        for s, r, _ in cells)
@@ -122,6 +124,151 @@ class TestParseConfig:
         bad = BASIC_CONFIG.replace(old, new)
         with pytest.raises(ValueError):
             harness.parse_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("kind: least_squares", "kind: logistic", "noise_sd"),
+        ("  noise_sd: 0.1\n", "  separation: 2.0\n", "separation"),
+        ("  noise_sd: 0.1\n", "  hidden: 4\n", "hidden"),
+        ("  noise_sd: 0.1\n", "  task: regression\n", "task"),
+        ("kind: least_squares", "kind: logistc", "logistc"),
+        ("kind: least_squares\n  N: 40\n  n: 8\n  noise_sd: 0.1\n",
+         "kind: logistic\n  n: 8\n", "missing .* N"),
+        ("kind: least_squares\n  N: 40\n  n: 8\n  noise_sd: 0.1\n",
+         "kind: mlp\n  hidden: 4\n", "missing .* data"),
+        ("N: 40", "N: 50.9", "problem.N must be int"),
+        ("    lam: 0.05\n", "    lam: -1\n", "lam must be nonnegative"),
+        ("  - kind: l1\n    lam: 0.05\n", "  - kind: l0ball\n    k: 2.7\n",
+         "k must be int"),
+        ("  - kind: l1\n    lam: 0.05\n", "  - l1\n",
+         r"regularizers\[0\] must be dict"),
+        ("batch_size: 40", "batch_size: 64.7", "batch_size must be int"),
+        ("sr2: {}", "sr2: {eta1: x}", "eta1 must be float"),
+        ("sr2: {}", "sr2: {eta1: 0}", r"\[solvers.sr2\] need 0 < eta1"),
+        ("sr2: {}", "sr2: {record_full_objective: 1}", "must be bool"),
+        ("sr2: {}", "sr2: {seed: 4}", "seed"),
+        ("sr2: {}", "sr2: [1]", "solvers.sr2 must be dict"),
+    ], ids=["logistic_noise_sd", "least_squares_separation",
+            "least_squares_hidden", "least_squares_task", "unknown_kind",
+            "logistic_without_N", "mlp_without_data", "N_float",
+            "lam_negative", "l0ball_k_float", "regularizer_not_mapping",
+            "batch_size_float", "eta1_string", "eta1_zero", "bool_as_int",
+            "solver_seed", "solver_not_mapping"])
+    def test_config_error_is_parse_error_before_any_run(
+            self, tmp_path, capsys, old, new, match):
+        # every key is one that the code reads, and every value has its
+        # type and range: the check is in parse_config, so --dry-run
+        # already fails, with status 2 (1 is kept for a failing cell)
+        assert old in BASIC_CONFIG
+        cfg_path = write_config(tmp_path, BASIC_CONFIG.replace(old, new))
+        with pytest.raises(ParseError, match=match):
+            harness.parse_config(cfg_path)
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                         "--dry-run"]) == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sr2kit: ") and err.count("\n") == 1
+
+    def test_values_read_by_type(self, tmp_path):
+        cfg = (BASIC_CONFIG.replace("lam: 0.05", "lam: 1e-4")
+               .replace("sr2: {}", "sr2: {kappa_m: 1, sigma0: 2}"))
+        spec = harness.parse_config(write_config(tmp_path, cfg))
+        assert spec.regularizers == [L1(1e-4)]  # YAML reads 1e-4 as a string
+        assert spec.solvers["sr2"] == {"kappa_m": 1.0, "sigma0": 2.0}
+        assert spec.problem == {"kind": "least_squares", "N": 40, "n": 8,
+                                "noise_sd": 0.1, "gen_seed": 1}
+
+    def test_alpha_auto_resolved_per_problem(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record_alpha(p, reg, x0, cfg):
+            seen.append(cfg.alpha)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(baselines, "run_proxgen", record_alpha)
+        cfg = BASIC_CONFIG.replace("sr2: {}", "proxgen: {alpha: auto}")
+        spec = harness.parse_config(write_config(tmp_path, cfg))
+        harness.run_experiments(spec, str(tmp_path / "o"))
+        assert seen == [1.0 / harness.build_problem(spec).L_bound]
+
+
+def write_data(tmp_path):
+    """A 12 x 3 regression csv, and the same features with +/-1 labels as
+    csv and as libsvm; returns the three paths."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 3))
+    y = np.where(X @ [1.0, -2.0, 0.5] >= 0, 1.0, -1.0)
+    paths = [str(tmp_path / name) for name in ("reg.csv", "cls.csv", "cls.svm")]
+    np.savetxt(paths[0], np.column_stack([X, X @ [0.3, 0.1, -1.0]]),
+               delimiter=",", fmt="%.17g")
+    np.savetxt(paths[1], np.column_stack([X, y]), delimiter=",", fmt="%.17g")
+    with open(paths[2], "w") as fh:
+        for row, label in zip(X, y):
+            fh.write(f"{label:+g} " + " ".join(
+                f"{j + 1}:{v:.17g}" for j, v in enumerate(row)) + "\n")
+    return paths
+
+
+def expected_problem(kind, data):
+    """The problem of each kind from the problems constructors, with the
+    documented defaults: gen_seed 0, noise_sd 0.0, separation 1.0,
+    support_size 10, hidden 8, task regression, format csv."""
+    rng = np.random.default_rng(0)
+    reg_csv, cls_csv, cls_svm = data
+    if kind == "least_squares":
+        return problems.make_least_squares(rng, 30, 12, noise_sd=0.0)
+    if kind == "logistic":
+        return problems.make_logistic(rng, 30, 12, separation=1.0)
+    if kind == "sparse_recovery":
+        return problems.make_sparse_recovery(rng, 30, 12, 10,
+                                             noise_sd=0.0).problem
+    if kind == "mlp":
+        return problems.make_tiny_mlp(rng, problems.load_csv(reg_csv), 8,
+                                      task="regression")
+    path, load, cls = {
+        "data_least_squares": (reg_csv, problems.load_csv,
+                               problems.LeastSquares),
+        "data_logistic": (cls_csv, problems.load_csv, problems.Logistic),
+        "data_logistic_libsvm": (cls_svm, problems.load_libsvm,
+                                 problems.Logistic),
+    }[kind]
+    ds = load(path)
+    return cls(ds.features, ds.targets, name=f"csv:{path}")
+
+
+def assert_same_problem(a, b):
+    assert type(a) is type(b)
+    assert vars(a).keys() == vars(b).keys()
+    for key, va in vars(a).items():
+        vb = vars(b)[key]
+        if isinstance(va, np.ndarray):
+            assert (va.dtype, va.shape, va.tobytes()) == \
+                (vb.dtype, vb.shape, vb.tobytes()), key
+        else:
+            assert va == vb, key
+
+
+PROBLEM_KEYS = {
+    "least_squares": "N: 30\n  n: 12\n",
+    "logistic": "N: 30\n  n: 12\n",
+    "sparse_recovery": "N: 30\n  n: 12\n",
+    "mlp": "data: {reg_csv}\n",
+    "data_least_squares": "data: {reg_csv}\n",
+    "data_logistic": "data: {cls_csv}\n",
+    "data_logistic_libsvm": "data: {cls_svm}\n  format: libsvm\n",
+}
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KEYS)
+def test_every_problem_kind_builds_with_its_defaults(tmp_path, kind):
+    # parse_config fills in the defaults that build_problem used to hold
+    data = write_data(tmp_path)
+    keys = PROBLEM_KEYS[kind].format(
+        **dict(zip(("reg_csv", "cls_csv", "cls_svm"), data)))
+    cfg = f"problem:\n  kind: {kind.removesuffix('_libsvm')}\n  {keys}"
+    spec = harness.parse_config(write_config(tmp_path, cfg))
+    assert_same_problem(harness.build_problem(spec),
+                        expected_problem(kind, data))
 
 
 class TestModelIO:
@@ -193,7 +340,7 @@ class TestRunExperiments:
         names1 = sorted(os.listdir(out1))
         assert names1 == sorted(os.listdir(out2))
         drop = [harness.TRACE_COLUMNS.index(c)
-                for c in harness.NONDETERMINISTIC_COLUMNS]
+                for c in NONDETERMINISTIC_COLUMNS]
         for name in names1:
             p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
             if name.startswith("trace_"):
@@ -220,6 +367,23 @@ class TestRunExperiments:
             assert len(lines) == 8
         skipped = [r for r in summary if r.get("skipped")]
         assert len(skipped) == 1  # proxsgd x l0
+
+    def test_every_row_names_its_regularizer_by_tag(self, tmp_path, capsys):
+        # a skipped row names its regularizer as the cell names do
+        cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", cfg_path, "--out", out,
+                         "--dry-run"]) == 0
+        assert "skipped:   proxsgd x l0_0.01 " in capsys.readouterr().out
+        spec = harness.parse_config(cfg_path)
+        summary = harness.run_experiments(spec, out, config_path=cfg_path)
+        assert {row["reg"] for row in summary} == {"l1_0.01", "l0_0.01"}
+        assert [(r["solver"], r["reg"]) for r in summary
+                if r.get("skipped")] == [("proxsgd", "l0_0.01")]
+        for row in summary:
+            if not row.get("skipped"):
+                assert row["cell"].startswith(
+                    f"{row['solver']}_{row['reg']}_s")
 
     def test_sparsity_curve_monotone(self, tmp_path):
         cfg_path = write_config(tmp_path, BASIC_CONFIG)
@@ -317,6 +481,19 @@ class TestCli:
                 open(os.path.join(out_dir, "config.yaml"), "rb") as copy:
             assert copy.read() == src.read()
 
+    def test_report_without_config_exits_2(self, tmp_path, capsys):
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"sr2kit: no config.yaml in {tmp_path}; cannot rebuild\n"
+
+    def test_prune_of_bad_model_file_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("3\n1.0\n2.0\n")
+        assert cli.main(["prune", "--model", str(model),
+                         "--alpha", "1e-3"]) == 2
+        assert capsys.readouterr().err == \
+            "sr2kit: model header says 3 params, file has 2\n"
+
 
 FAILING_CELL_CONFIG = """\
 problem:
@@ -342,7 +519,7 @@ def assert_same_outputs(out1, out2):
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     drop = [harness.TRACE_COLUMNS.index(c)
-            for c in harness.NONDETERMINISTIC_COLUMNS]
+            for c in NONDETERMINISTIC_COLUMNS]
     for name in names:
         p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
         if name.startswith("trace_"):
