@@ -4,8 +4,10 @@ preconditioning disabled (identity metric, v_t = g_t).
 
 Neither method tests step quality: every step is taken, the batch size is
 fixed, and the step size follows the configured schedule.  Each step
-builds one checked sample and gets f(x) and the gradient on it from one
-forward pass; the trace's f(x') is evaluated on that same sample.
+draws one sample (Problem.draw: one gather, no check of the drawn
+indices) and gets f(x) and the gradient on it from one forward pass; the
+trace's f(x') is evaluated on that same sample.  x is not checked by the
+steps: the run loop checks x0, and _step checks each x' as it is made.
 
 run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
 which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
@@ -22,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import UnsupportedRegularizerError
-from .problems import draw_sample
+from .problems import _check_point
 from .regularizers import Regularizer, shifted_prox
 from .sr2 import IterationRecord, RunResult, _drive, _Point
 
@@ -61,17 +63,18 @@ class BaselineConfig:
 
 
 def _draw(p, x, rng, batch):
-    """A fresh sample, with f(x) and the gradient on it."""
-    sample = p.sample(draw_sample(rng, p.N, batch))
-    f, g = sample.value_and_grad(x)
-    return sample, f, g
+    """A fresh sample, with f(x) and the gradient on it; x is a checked
+    point."""
+    sample = p.draw(rng, batch)
+    return sample, *sample._value_and_grad(x)
 
 
 def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
     """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
 
-    r_x is R(x) if the caller holds it (see shifted_prox).  Returns x', the
-    prox step and (sample, f(x) on the sample)."""
+    x is a finite point of shape (n,), which is not checked here.  r_x is
+    R(x) if the caller holds it (see shifted_prox).  Returns x', the prox
+    step and (sample, f(x) on the sample)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     sample, f, g = _draw(p, x, rng, batch)
@@ -103,7 +106,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     r_x = at_x.reg_value(reg)
     x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
                                        state.batch_size, r_x)
-    at_new = _Point(x_new)
+    at_new = _Point(_check_point(x_new, p.n))
     s = x_new - x
     F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
     state.x, state.point = x_new, at_new
@@ -116,7 +119,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
         step_norm_sq=float(s @ s),
         accepted=True,
         F_sampled_before=f + r_x,
-        F_sampled_after=sample.value(x_new) + at_new.reg_value(reg),
+        F_sampled_after=at_new.value_on(p, sample) + at_new.reg_value(reg),
         F_full=F_full,
         model_decrease=step.model_decrease,
         batch_size=state.batch_size,

@@ -17,7 +17,7 @@ def _cmd_run(args):
         spec.seeds = [args.seed_override]
     if args.dry_run:
         for solver, reg, seed in harness.plan_cells(spec):
-            print(f"would run: {solver} x {reg} x seed={seed}")
+            print(f"would run: {solver} x {harness._reg_tag(reg)} x seed={seed}")
         for solver, reg in spec.skipped:
             print(f"skipped:   {solver} x {reg} (nonconvex regularizer)")
         return 0

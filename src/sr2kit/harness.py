@@ -17,6 +17,7 @@ import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 import yaml
@@ -48,15 +49,17 @@ DEFAULT_L1_GRID = (1e-4, 1e-3, 1e-2)
 
 _SECTIONS = {"problem": dict, "regularizers": list | None,
              "solvers": dict | None, "run": dict | None}
-_DATA = {"data": str, "format": "csv"}
+_DATA = {"data": str, "format": Literal["csv", "libsvm"]}
 #: problem kind -> the keys build_problem reads for it: a required key is
-#: given by its type, an optional one by its default
+#: given by its type, an optional one by its default, and one with a fixed
+#: set of values by a Literal of them, its default first
 _PROBLEMS = {
     "least_squares": {"N": int, "n": int, "noise_sd": 0.0, "gen_seed": 0},
     "logistic": {"N": int, "n": int, "separation": 1.0, "gen_seed": 0},
     "sparse_recovery": {"N": int, "n": int, "support_size": 10,
                         "noise_sd": 0.0, "gen_seed": 0},
-    "mlp": {**_DATA, "hidden": 8, "task": "regression", "gen_seed": 0},
+    "mlp": {**_DATA, "hidden": 8,
+            "task": Literal["regression", "classification"], "gen_seed": 0},
     "data_least_squares": _DATA,
     "data_logistic": _DATA,
 }
@@ -89,8 +92,13 @@ class ExperimentSpec:
 def _read(where, value, tp):
     """value as type tp.  An int must be written as one; a float may be any
     number or a numeric string (YAML reads 1e-4 as a string); a list is
-    read element by element, and a union as its first member that fits."""
+    read element by element, a union as its first member that fits, and a
+    Literal only as one of its values."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        if value in args:
+            return value
+        raise ParseError(f"{where} must be one of {', '.join(args)}, got {value!r}")
     if origin is types.UnionType:
         for member in args:
             with contextlib.suppress(ParseError):
@@ -145,15 +153,26 @@ def _regularizer(where, entry):
 
 def parse_config(path):
     """Load a YAML experiment config into an ExperimentSpec.  Every config
-    error, a key that no code reads included, is a ParseError raised here."""
-    with open(path) as fh:
-        raw = _read_keys("config", yaml.safe_load(fh), _SECTIONS, ["problem"])
+    error, a key that no code reads and a file that cannot be read or is
+    not YAML included, is a ParseError raised here."""
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        # one line: YAML's own message spans several
+        raise ParseError(f"cannot read config {path}: "
+                         f"{' '.join(str(exc).split())}") from None
+    raw = _read_keys("config", doc, _SECTIONS, ["problem"])
 
     keys = _kind("problem", raw["problem"], _PROBLEMS)
     required = [key for key, v in keys.items() if isinstance(v, type)]
-    hints = {key: v if key in required else type(v) for key, v in keys.items()}
-    prob = {**keys, **_read_keys("problem", raw["problem"],
-                                 {"kind": str, **hints}, required)}
+    choices = [key for key, v in keys.items() if typing.get_origin(v) is Literal]
+    hints = {key: v if key in required + choices else type(v)
+             for key, v in keys.items()}
+    defaults = {key: typing.get_args(v)[0] if key in choices else v
+                for key, v in keys.items()}
+    prob = {**defaults, **_read_keys("problem", raw["problem"],
+                                     {"kind": str, **hints}, required)}
 
     entries = raw.get("regularizers")
     if entries is None:
@@ -215,7 +234,7 @@ def build_problem(spec):
     if kind in ("data_least_squares", "data_logistic"):
         ds = _load_dataset(prob)
         cls = problems.Logistic if kind == "data_logistic" else problems.LeastSquares
-        return cls(ds.features, ds.targets, name=f"csv:{prob['data']}")
+        return cls(ds.features, ds.targets, name=f"{prob['format']}:{prob['data']}")
     rng = np.random.default_rng(prob["gen_seed"])
     if kind == "least_squares":
         return problems.make_least_squares(rng, prob["N"], prob["n"],
@@ -232,11 +251,8 @@ def build_problem(spec):
 
 
 def _load_dataset(prob):
-    if prob["format"] == "csv":
-        return problems.load_csv(prob["data"])
-    if prob["format"] == "libsvm":
-        return problems.load_libsvm(prob["data"])
-    raise ParseError(f"unknown data format {prob['format']!r}")
+    load = problems.load_libsvm if prob["format"] == "libsvm" else problems.load_csv
+    return load(prob["data"])
 
 
 def _reg_tag(reg):
@@ -326,16 +342,25 @@ def _run_cell(spec, p, solver, reg, seed, max_iter):
 
 
 def _prune_sweep(p, x, thresholds):
-    """Per-threshold (sparsity %, accuracy or None) pairs."""
+    """Per-threshold (alpha, sparsity %, accuracy or None) rows, and the
+    accuracy of x itself.  Each distinct model is scored once: most
+    thresholds prune the same weights, and the smallest often none."""
+    scores = {}  # model bytes -> accuracy or None
+
+    def score(model):
+        key = model.tobytes()
+        if key not in scores:
+            try:
+                scores[key] = diagnostics.accuracy(p, model)
+            except (UnsupportedMetricError, NotImplementedError):
+                scores[key] = None
+        return scores[key]
+
     rows = []
     for alpha in thresholds:
         x_p, frac = diagnostics.prune(x, alpha)
-        try:
-            acc = diagnostics.accuracy(p, x_p)
-        except (UnsupportedMetricError, NotImplementedError):
-            acc = None
-        rows.append((alpha, 100.0 * frac, acc))
-    return rows
+        rows.append((alpha, 100.0 * frac, score(x_p)))
+    return rows, score(x)
 
 
 def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
@@ -346,9 +371,9 @@ def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
         result = _run_cell(spec, p, solver, reg, seed, max_iter)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
-        sweep = _prune_sweep(p, result.x, spec.prune_thresholds)
+        sweep, acc = _prune_sweep(p, result.x, spec.prune_thresholds)
         emit_plot_data(out_dir, cell, result.trace, sweep)
-        row = _summary_row(p, spec, solver, reg, seed, result.x,
+        row = _summary_row(p, spec, solver, reg, seed, result.x, acc,
                            len(result.trace), result.stop_reason, sweep)
     except Exception as exc:  # record, keep going
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
@@ -370,13 +395,9 @@ def _worker_cell_job(cell_args):
     return _cell_job(*_worker_state, *cell_args)
 
 
-def _summary_row(p, spec, solver, reg, seed, x, iterations, stop_reason,
-                 sweep):
+def _summary_row(p, spec, solver, reg, seed, x, acc, iterations,
+                 stop_reason, sweep):
     report = diagnostics.sparsity_report(x, thresholds=(1e-3,))
-    try:
-        acc = diagnostics.accuracy(p, x)
-    except (UnsupportedMetricError, NotImplementedError):
-        acc = None
     lam = getattr(reg, "lam", None)
     F_final = p.full_value(x) + reg_value(reg, x)
     epoch_len = _epoch_length(p.N, spec.batch_size)
@@ -488,8 +509,8 @@ def rebuild_summary(out_dir):
             continue
         _, rows = read_trace_csv(trace_path)
         x = load_model(model_path)
-        sweep = _prune_sweep(p, x, spec.prune_thresholds)
-        row = _summary_row(p, spec, solver, reg, seed, x, len(rows),
+        sweep, acc = _prune_sweep(p, x, spec.prune_thresholds)
+        row = _summary_row(p, spec, solver, reg, seed, x, acc, len(rows),
                            "rebuilt", sweep)
         row["cell"] = cell
         summary.append(row)

@@ -8,11 +8,17 @@ full-batch evaluation is bitwise reproducible.
 Evaluation has one path.  Problem.sample(idx) checks the index set once
 and gathers its rows once; the Sample's value and gradient at x both come
 from one forward pass (the residual, the margin, or the network's hidden
-layer and output), and every evaluation checks x.  sample(ALL) is the
-whole data set, read in place with no copy; the stored data is C-ordered,
-so it gives bitwise the same numbers as the index set {0..N-1}, which is
-copied.  full_value/full_grad/sampled_value/sampled_grad are thin checked
-wrappers over this path.
+layer and output), and every public evaluation checks x.  sample(ALL) is
+the whole data set, read in place with no copy; the stored data is
+C-ordered, so it gives bitwise the same numbers as the index set
+{0..N-1}, which is copied.  full_value/full_grad/sampled_value/sampled_grad
+are thin checked wrappers over this path.
+
+The solvers take a cheaper way through it.  Problem.draw(rng, batch)
+gathers the rows of draw_sample's indices without checking them again
+(they are sorted, unique and in range by construction), and the solvers
+check each point once, when they make it, then evaluate it with the
+unchecked Sample._forward.
 """
 
 from __future__ import annotations
@@ -103,8 +109,9 @@ class Problem:
     Subclasses set n, N, name and write their math once:
     _rows(idx) gathers the data rows of idx, _forward(x, rows) is the
     forward pass, and _loss(fwd, rows) and _backward(fwd, rows) give the
-    per-sample losses and the mean gradient from it.  idx is a checked,
-    sorted index array, or ALL for the whole data set without a copy.
+    per-sample losses and the mean gradient from it.  idx is a sorted,
+    unique, in-range index array, or ALL for the whole data set without a
+    copy.
     """
 
     n: int
@@ -132,6 +139,11 @@ class Problem:
             idx = _check_indices(idx, self.N)
         return Sample(self, self._rows(idx))
 
+    def draw(self, rng, batch):
+        """A fresh uniform sample of batch terms (draw_sample), gathered
+        once; its indices need no check."""
+        return Sample(self, self._rows(draw_sample(rng, self.N, batch)))
+
     def full_value(self, x):
         return self.sample(ALL).value(x)
 
@@ -150,9 +162,9 @@ class Problem:
 
 
 class Sample:
-    """The mean of a problem's terms over one checked index set, whose data
-    rows are gathered once.  x is checked at every evaluation; value and
-    gradient at one x come from one forward pass."""
+    """The mean of a problem's terms over one valid index set, whose data
+    rows are gathered once.  x is checked at every public evaluation;
+    value and gradient at one x come from one forward pass."""
 
     __slots__ = ("problem", "rows")
 
@@ -162,11 +174,15 @@ class Sample:
 
     def forward(self, x):
         """The forward pass at x, which value_of and grad_of read."""
-        return self.problem._forward(_check_point(x, self.problem.n), self.rows)
+        return self._forward(_check_point(x, self.problem.n))
+
+    def _forward(self, x):
+        """forward at a point that was checked when it was made."""
+        return self.problem._forward(x, self.rows)
 
     def value_of(self, fwd):
         loss = self.problem._loss(fwd, self.rows)
-        return float(loss.sum() / loss.size)  # the bits of loss.mean()
+        return float(np.add.reduce(loss) / loss.size)  # the bits of loss.mean()
 
     def grad_of(self, fwd):
         return self.problem._backward(fwd, self.rows)
@@ -178,7 +194,11 @@ class Sample:
         return self.grad_of(self.forward(x))
 
     def value_and_grad(self, x):
-        fwd = self.forward(x)
+        return self._value_and_grad(_check_point(x, self.problem.n))
+
+    def _value_and_grad(self, x):
+        """value_and_grad at a point that was checked when it was made."""
+        fwd = self._forward(x)
         return self.value_of(fwd), self.grad_of(fwd)
 
 
@@ -341,9 +361,11 @@ class TinyMLP(Problem):
 
 def _sigmoid(t):
     """1 / (1 + e^-t), from e = e^-|t| <= 1 so that nothing overflows."""
-    e = np.exp(-np.abs(t))
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
+    return np.where(t >= 0, 1.0, e) / d  # 1/d or e/d per element
 
 
 def _power_lmax(A, iters=200, tol=1e-12, seed=0):

@@ -6,9 +6,14 @@ predicted decrease (rho), and accepts or rejects the step while adapting
 sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
-Minibatch: each step builds one checked sample (one index check, one
-gather of its rows); f(x) and the gradient on it come from one forward
-pass, and f(x + s) on the same sample costs one more forward pass.
+Minibatch: each step draws one sample (Problem.draw: one gather of its
+rows, whose drawn indices are not checked again); f(x) and the gradient
+on it come from one forward pass, and f(x + s) on the same sample costs
+one more forward pass.
+
+Each point is checked once, when it is made: x0 by _drive, each trial
+point x + s where its _Point is built.  No evaluation at a point checks
+it again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
 no sample is drawn and the RNG is left untouched; the data set is read in
@@ -28,14 +33,15 @@ estimator of the expected squared step length; the run stops once the
 window is full and the mean falls below epsilon^2.
 
 One run loop, _drive, serves SR2 and both baselines: it checks that R(x0)
-is finite, builds the SolverState, calls the solver's own step (for run,
-sr2_step) up to max_iter times, tests the window after each accepted step
-(a rejection leaves the window and its mean as they were) and returns the
-RunResult.
+is finite and then x0 itself, builds the SolverState, calls the solver's
+own step (for run, sr2_step) up to max_iter times, tests the window after
+each accepted step (a rejection leaves the window and its mean as they
+were) and returns the RunResult.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleAnchorError, NumericalFailureError
-from .problems import ALL, draw_sample
+from .problems import ALL, _check_point
 from .regularizers import Regularizer, reg_value, shifted_prox
 
 __all__ = [
@@ -128,7 +134,7 @@ class _Point:
 
     def _forward(self, full):
         if self._fwd is None:
-            self._fwd = full.forward(self.x)
+            self._fwd = full._forward(self.x)
         return self._fwd
 
     def full_value(self, p):
@@ -157,7 +163,7 @@ class _Point:
         """f on the sample; None stands for the full batch."""
         if sample is None:
             return self.full_value(p)
-        return sample.value(self.x)
+        return sample.value_of(sample._forward(self.x))
 
 
 @dataclass
@@ -225,9 +231,12 @@ def sigma_succ_bound(kappa_m, eta2):
 def stationarity_estimate(state):
     """Sliding-window mean of accepted squared step norms, or None while
     the window has not yet filled."""
-    if len(state.window) < state.window.maxlen:
+    w = state.window
+    if len(w) < w.maxlen:
         return None
-    return float(np.mean(state.window))
+    # np.mean is this add-reduce followed by the same division, so the
+    # bits are its own, without its Python wrappers
+    return float(np.add.reduce(np.fromiter(w, float, len(w))) / len(w))
 
 
 def _resolve_kappa(cfg, p):
@@ -243,12 +252,14 @@ def _resolve_kappa(cfg, p):
 def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     """One SR2 iteration; mutates state and returns the IterationRecord."""
     t0 = time.perf_counter()
+    at_x = state.point
+    if at_x is None or at_x.x is not state.x:
+        # an iterate set from outside the run loop: checked here, once
+        state.x = _check_point(state.x, p.n)
+        at_x = state.point = _Point(state.x)
     x = state.x
     sigma = state.sigma
     batch = min(state.batch_size, p.N)
-    at_x = state.point
-    if at_x is None or at_x.x is not x:
-        at_x = state.point = _Point(x)
     r_x = at_x.reg_value(reg)
     if batch == p.N:
         # the sample is {0..N-1}: no draw, and f, g and (while sigma
@@ -259,13 +270,14 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         f_before = at_x.full_value(p)
         step = at_x.full_prox(p, reg, sigma)
     else:
-        sample = p.sample(draw_sample(state.rng, p.N, batch))
-        f_before, g = sample.value_and_grad(x)
+        sample = p.draw(state.rng, batch)
+        f_before, g = sample._value_and_grad(x)
         step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x
     s = step.s
     step_norm_sq = float(s @ s)
-    trial = _Point(x + s) if step_norm_sq > 0.0 else None
+    # the trial point is checked as it is made (a NaN norm included)
+    trial = _Point(_check_point(x + s, p.n)) if step_norm_sq != 0.0 else None
     f_after = None  # f(x + s) on this step's sample
 
     assumption_rejected = False
@@ -299,17 +311,17 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             )
         else:
             delta_F = F_before - F_after
-        if not np.isfinite(delta_F):
-            if np.isnan(delta_F):
+        if not math.isfinite(delta_F):
+            if math.isnan(delta_F):
                 raise NumericalFailureError(
                     "non-finite sampled objective", iteration=state.t
                 )
             rho = 0.0  # extended arithmetic: infinite decrease ratio -> 0
-        elif delta_psi == 0.0 or not np.isfinite(delta_psi):
+        elif delta_psi == 0.0 or not math.isfinite(delta_psi):
             rho = 0.0
         else:
             rho = delta_F / delta_psi
-            if np.isnan(rho):
+            if math.isnan(rho):
                 raise NumericalFailureError("rho is NaN", iteration=state.t)
         accepted = rho >= cfg.eta1
 
@@ -360,6 +372,7 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     at_x0 = _Point(x0)
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
+    _check_point(x0, p.n)
     state = SolverState(
         x=x0,
         sigma=sigma,

@@ -353,7 +353,9 @@ def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
 @pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",
                                           kappa_m=0.5),
                                      dict(rho_mode="full")])
-def test_minibatch_one_sample_per_iteration(index_checks, options):
+def test_minibatch_one_sample_per_iteration(index_checks, monkeypatch,
+                                            options):
+    draws = counted(monkeypatch, problems, "draw_sample")
     base = make_logistic(np.random.default_rng(7), 500, 20)
     p = CountingLogistic(base.A, base.y)
     cfg = SolverConfig(batch_size=32, max_iter=200, seed=3, **options)
@@ -365,9 +367,11 @@ def test_minibatch_one_sample_per_iteration(index_checks, options):
     if cfg.assumption_check != "off":
         assert 0 < res.state.assumption_rejections
         assert res.trace[-1].batch_size < p.N
-    # one index check and one gather per iteration; f and g at x from one
-    # forward pass; f(x + s) is one more forward pass on the same rows
-    assert index_checks["check"] == p.calls["gather"] == iters
+    # one draw and one gather per iteration, and no check of the drawn
+    # indices; f and g at x from one forward pass; f(x + s) is one more
+    # forward pass on the same rows
+    assert draws["draw_sample"] == p.calls["gather"] == iters
+    assert index_checks["check"] == 0
     assert p.calls["sample_backward"] == iters
     assert p.calls["sample_forward"] == iters + trials
     assert p.calls["full_backward"] == 0
@@ -379,12 +383,14 @@ def test_minibatch_one_sample_per_iteration(index_checks, options):
 
 
 @pytest.mark.parametrize("solver", [run_proxgen, run_proxsgd])
-def test_baseline_one_sample_per_iteration(index_checks, solver):
+def test_baseline_one_sample_per_iteration(index_checks, monkeypatch, solver):
+    draws = counted(monkeypatch, problems, "draw_sample")
     base = make_logistic(np.random.default_rng(7), 500, 20)
     p = CountingLogistic(base.A, base.y)
     cfg = BaselineConfig(alpha=0.5, batch_size=32, max_iter=50, seed=3)
     solver(p, L1(1e-4), np.zeros(p.n), cfg)
-    assert index_checks["check"] == p.calls["gather"] == 50
+    assert draws["draw_sample"] == p.calls["gather"] == 50
+    assert index_checks["check"] == 0
     assert p.calls["sample_backward"] == 50
     assert p.calls["sample_forward"] == 2 * 50  # at x, and at x' for the trace
     assert p.calls["full_forward"] == 0

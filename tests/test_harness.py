@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sr2kit import baselines, cli, harness, problems
+from sr2kit import baselines, cli, diagnostics, harness, problems
 from sr2kit.errors import ParseError
 from sr2kit.regularizers import L1
 
@@ -169,6 +169,41 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("sr2kit: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("problem,match", [
+        ("kind: data_logistic\n  data: d.csv\n  format: xyz\n",
+         "problem.format must be one of csv, libsvm, got 'xyz'"),
+        ("kind: mlp\n  data: d.csv\n  task: classify\n",
+         "problem.task must be one of regression, classification"),
+        ("kind: mlp\n  data: d.csv\n  task: 1\n", "problem.task"),
+    ], ids=["format", "task", "task_not_a_string"])
+    def test_value_outside_its_choices_rejected_before_any_run(
+            self, tmp_path, capsys, problem, match):
+        cfg_path = write_config(tmp_path, f"problem:\n  {problem}")
+        with pytest.raises(ParseError, match=match):
+            harness.parse_config(cfg_path)
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                         "--dry-run"]) == 2
+        assert not out_dir.exists()
+        assert capsys.readouterr().err.startswith("sr2kit: problem.")
+
+    @pytest.mark.parametrize("text", ["problem:\n  N: [10\n", None],
+                             ids=["yaml_syntax", "missing_file"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     text):
+        cfg_path = str(tmp_path / "exp.yaml")
+        if text is not None:
+            write_config(tmp_path, text)
+        with pytest.raises(ParseError, match="cannot read config"):
+            harness.parse_config(cfg_path)
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                         "--dry-run"]) == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sr2kit: cannot read config")
+        assert err.count("\n") == 1
+
     def test_values_read_by_type(self, tmp_path):
         cfg = (BASIC_CONFIG.replace("lam: 0.05", "lam: 1e-4")
                .replace("sr2: {}", "sr2: {kappa_m: 1, sigma0: 2}"))
@@ -225,15 +260,15 @@ def expected_problem(kind, data):
     if kind == "mlp":
         return problems.make_tiny_mlp(rng, problems.load_csv(reg_csv), 8,
                                       task="regression")
-    path, load, cls = {
+    path, load, cls, fmt = {
         "data_least_squares": (reg_csv, problems.load_csv,
-                               problems.LeastSquares),
-        "data_logistic": (cls_csv, problems.load_csv, problems.Logistic),
+                               problems.LeastSquares, "csv"),
+        "data_logistic": (cls_csv, problems.load_csv, problems.Logistic, "csv"),
         "data_logistic_libsvm": (cls_svm, problems.load_libsvm,
-                                 problems.Logistic),
+                                 problems.Logistic, "libsvm"),
     }[kind]
     ds = load(path)
-    return cls(ds.features, ds.targets, name=f"csv:{path}")
+    return cls(ds.features, ds.targets, name=f"{fmt}:{path}")
 
 
 def assert_same_problem(a, b):
@@ -418,6 +453,42 @@ class TestRunExperiments:
         assert all(r["epochs"] == pytest.approx(3.0) for r in proxgen_rows)
 
 
+def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
+    # the prune sweep scores each distinct pruned model once, and the
+    # summary reuses its score of x, in run and in report alike
+    scored = []  # per cell: the bytes of each model whose margins are taken
+    margins, prune_sweep = problems.Logistic.margins, harness._prune_sweep
+
+    def counted_margins(self, x):
+        scored[-1].append(np.asarray(x, dtype=float).tobytes())
+        return margins(self, x)
+
+    def counted_sweep(*args):
+        scored.append([])
+        return prune_sweep(*args)
+
+    monkeypatch.setattr(problems.Logistic, "margins", counted_margins)
+    monkeypatch.setattr(harness, "_prune_sweep", counted_sweep)
+    cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
+    spec = harness.parse_config(cfg_path)
+    out = str(tmp_path / "o")
+    run_rows = harness.run_experiments(spec, out, config_path=cfg_path)
+    run_scored = scored[:]
+    scored.clear()
+    report_rows = harness.rebuild_summary(out)
+    cells = [row["cell"] for row in run_rows if "cell" in row]
+    assert [row["cell"] for row in report_rows if "cell" in row] == cells
+    saved = 0
+    for cell, models in (*zip(cells, run_scored), *zip(cells, scored)):
+        x = harness.load_model(os.path.join(out, f"model_{cell}.txt"))
+        pruned = {diagnostics.prune(x, alpha)[0].tobytes()
+                  for alpha in spec.prune_thresholds}
+        assert len(models) == len(set(models))
+        assert pruned <= set(models) <= pruned | {x.tobytes()}
+        saved += len(spec.prune_thresholds) + 1 - len(models)
+    assert saved > 0
+
+
 class TestCli:
     def test_dry_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
@@ -427,6 +498,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "would run" in out
         assert "skipped" in out
+
+    def test_dry_run_names_cells_by_tag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
+        cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                  "--dry-run"])
+        lines = capsys.readouterr().out.splitlines()
+        assert "would run: sr2 x l1_0.01 x seed=0" in lines
+        assert "skipped:   proxsgd x l0_0.01 (nonconvex regularizer)" in lines
+        assert not any("lam=" in line for line in lines)
 
     def test_run_and_report(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, BASIC_CONFIG)

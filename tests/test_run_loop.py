@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import sr2kit
-from sr2kit import baselines, harness, sr2
+from sr2kit import baselines, harness, problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import InfeasibleAnchorError
 from sr2kit.problems import make_least_squares, make_logistic
-from sr2kit.regularizers import L1, L0Ball
+from sr2kit.regularizers import L1, L0Ball, Zero
 from sr2kit.sr2 import SolverConfig, run
 
 SOLVERS = [
@@ -44,6 +44,28 @@ class TestBoundary:
         x0 = np.array([1.0, 1.0, 0, 0, 0, 0])
         with pytest.raises(InfeasibleAnchorError):
             solver(problem, L0Ball(1), x0, config(config_class, options))
+
+    @pytest.mark.parametrize("x0", [[0, 0, np.nan, 0, 0, 0],
+                                    [0, np.inf, 0, 0, 0, 0],
+                                    [0.0] * 5, [[0.0]] * 6],
+                             ids=["nan", "inf", "short", "column"])
+    @pytest.mark.parametrize("reg", [Zero(), L1(0.1)], ids=str)
+    def test_bad_start_raises_before_any_step(
+            self, problem, solver, config_class, options, x0, reg):
+        # x0 is checked by the run loop itself, not by the first step's
+        # evaluation: so also with R(x0) = 0 and with no step at all
+        with pytest.raises(ValueError):
+            solver(problem, reg, np.array(x0),
+                   config(config_class, options, max_iter=0))
+
+    def test_non_finite_trial_point_raises(self, problem, solver,
+                                           config_class, options):
+        # x0 is finite, but A x0 overflows, so the gradient and the step
+        # do: the point the step makes fails its check
+        x0 = np.full(problem.n, 1e307)
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+            solver(problem, L1(0.1), x0, config(config_class, options))
 
     def test_zero_budget(self, problem, solver, config_class, options):
         x0 = np.ones(problem.n)
@@ -89,6 +111,59 @@ def test_regularizer_evaluations_per_step(monkeypatch, solver, config_class,
     else:
         # R(x') for the trace, which the next step reuses as its R(x)
         assert len(calls) == 1 + 2 * steps
+
+
+@pytest.fixture
+def point_checks(monkeypatch):
+    """Counts the point checks, under every name the package calls them."""
+    calls = []
+    check = problems._check_point
+
+    def counted(x, n):
+        calls.append(1)
+        return check(x, n)
+
+    for module in (problems, sr2, baselines):
+        monkeypatch.setattr(module, "_check_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"rho_mode": "full", "record_full_objective": True},
+    {"assumption_check": "sampled-proxy", "kappa_m": 0.5},
+    {"assumption_check": "full", "kappa_m": 0.5}, {"batch_size": 500}],
+    ids=["sampled", "full_rho", "sampled_proxy", "full_guard", "full_batch"])
+def test_sr2_checks_each_point_once(point_checks, options):
+    # x0 in the run loop, and each trial point x + s when it is made; no
+    # evaluation at either checks it again
+    p = make_logistic(np.random.default_rng(7), 500, 20)
+    cfg = SolverConfig(**{"batch_size": 32, "max_iter": 200, "seed": 3,
+                          **options})
+    res = run(p, L1(1e-4), np.zeros(p.n), cfg)
+    trials = sum(r.step_norm_sq > 0.0 or r.assumption_rejected
+                 for r in res.trace)
+    assert 0 < trials and any(r.accepted for r in res.trace)
+    assert len(point_checks) == 1 + trials
+
+
+@pytest.mark.parametrize("solver", [run_proxgen, run_proxsgd])
+@pytest.mark.parametrize("record", [False, True])
+def test_baseline_checks_each_point_once(point_checks, solver, record):
+    # x0 in the run loop, and x' once per step
+    p = make_logistic(np.random.default_rng(7), 500, 20)
+    cfg = BaselineConfig(alpha=0.5, batch_size=32, max_iter=50, seed=3,
+                         record_full_objective=record)
+    solver(p, L1(1e-4), np.zeros(p.n), cfg)
+    assert len(point_checks) == 1 + 50
+
+
+def test_nan_step_raises_value_error(problem, monkeypatch):
+    # a NaN in s makes ||s||^2 NaN; the trial point is still made, and
+    # fails its check
+    monkeypatch.setattr(L1, "prox_target", lambda self, u, sigma: u * np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(problem, L1(0.1), np.zeros(problem.n),
+            config(SolverConfig, {}, max_iter=5))
 
 
 def test_baseline_state_sigma_is_next_inverse_step_size(problem):

@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr2kit.problems import LeastSquares, make_least_squares
 from sr2kit.regularizers import L1, L0Ball, Zero
@@ -99,6 +101,21 @@ class TestStationarityEstimate:
                             rng=np.random.default_rng(0), batch_size=1,
                             window=deque([0.04], maxlen=3))
         assert stationarity_estimate(state) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_infinity=True), min_size=1,
+                max_size=300))
+def test_window_mean_is_np_mean_bitwise(values):
+    # stationarity_estimate adds the window up with np.add.reduce and
+    # divides by its length, which is what np.mean does with the deque
+    window = deque(values, maxlen=len(values))
+    state = SolverState(x=np.zeros(1), sigma=1.0, t=1,
+                        rng=np.random.default_rng(0), batch_size=1,
+                        window=window)
+    with np.errstate(all="ignore"):  # sums near the float max overflow
+        got, expected = stationarity_estimate(state), float(np.mean(window))
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestSingleStep:
