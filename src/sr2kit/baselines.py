@@ -7,7 +7,7 @@ fixed, and the step size follows the configured schedule.  Each step
 draws one sample (Problem.draw: one gather, no check of the drawn
 indices) and gets f(x) and the gradient on it from one forward pass; the
 trace's f(x') is evaluated on that same sample.  x is not checked by the
-steps: the run loop checks x0, and _step checks each x' as it is made.
+steps: each point's _Point checks it as it is made (x0, then each x').
 
 run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
 which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
@@ -24,7 +24,6 @@ from functools import partial
 import numpy as np
 
 from .errors import UnsupportedRegularizerError
-from .problems import _check_point
 from .regularizers import Regularizer, shifted_prox
 from .sr2 import IterationRecord, RunResult, _drive, _Point
 
@@ -106,10 +105,10 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     r_x = at_x.reg_value(reg)
     x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
                                        state.batch_size, r_x)
-    at_new = _Point(_check_point(x_new, p.n))
+    at_new = _Point(x_new, p.n)
     s = x_new - x
     F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
-    state.x, state.point = x_new, at_new
+    state.x, state.point = at_new.x, at_new
     state.t += 1
     state.sigma = 1.0 / cfg.step_size(state.t + 1)
     return IterationRecord(

@@ -7,6 +7,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import diagnostics, harness
 from .errors import ParseError
 
@@ -55,13 +57,16 @@ def _jobs(text):
 
 def _cmd_prune(args):
     x = harness.load_model(args.model)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     print(f"{'alpha':>12s} {'pruned_frac':>12s} {'pct_zero':>9s}")
     for alpha in args.alpha:
         x_p, frac = diagnostics.prune(x, alpha)
         report = diagnostics.sparsity_report(x_p, thresholds=(alpha,))
         print(f"{alpha:12.3e} {frac:12.4f} {report.pct_exact_zero:8.2f}%")
         if args.out:
-            tag = f"{alpha:.0e}".replace("-0", "-").replace("+0", "")
+            # the shortest form that reads back as alpha: 1e-3, 1.2e-3
+            tag = np.format_float_scientific(alpha, trim="-", exp_digits=1)
             harness.save_model(
                 os.path.join(args.out, f"pruned_{tag}.txt"), x_p
             )

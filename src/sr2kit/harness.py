@@ -10,11 +10,13 @@ of (config, seeds) except the wall-time trace column.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import types
 import typing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal
@@ -256,13 +258,10 @@ def _load_dataset(prob):
 
 
 def _reg_tag(reg):
-    if isinstance(reg, Zero):
-        return "zero"
-    if isinstance(reg, L1):
-        return f"l1_{reg.lam:g}"
-    if isinstance(reg, L0):
-        return f"l0_{reg.lam:g}"
-    return f"l0ball_{reg.k}"
+    """The regularizer's kind and its field values: zero, l1_0.0001."""
+    kind = next(k for k, cls in _REGULARIZERS.items() if isinstance(reg, cls))
+    return "_".join([kind, *(f"{getattr(reg, f.name):g}"
+                             for f in dataclasses.fields(reg))])
 
 
 def _fmt(v):
@@ -279,14 +278,8 @@ def write_trace_csv(path, trace):
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_SCHEMA}\n")
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for rec in trace:
-            row = (
-                rec.t, rec.sigma_used, rec.rho, rec.step_norm_sq,
-                rec.accepted, rec.F_sampled_before, rec.F_sampled_after,
-                rec.F_full, rec.model_decrease, rec.batch_size,
-                rec.assumption_rejected, rec.nnz, rec.wall_time,
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for rec in trace:  # IterationRecord's fields are TRACE_COLUMNS
+            fh.write(",".join(_fmt(v) for v in vars(rec).values()) + "\n")
 
 
 def read_trace_csv(path):
@@ -310,9 +303,15 @@ def save_model(path, x):
 
 
 def load_model(path):
+    """A model file as save_model writes it; a malformed line is a ParseError."""
     with open(path) as fh:
-        n = int(fh.readline())
-        vals = [float(line) for line in fh if line.strip()]
+        header = fh.readline().strip()
+        if not header.isdigit():
+            raise ParseError(f"expected a parameter count, got {header!r}",
+                             line=1)
+        n = int(header)
+        vals = [problems._parse_float(line.strip(), lineno)
+                for lineno, line in enumerate(fh, start=2) if line.strip()]
     if len(vals) != n:
         raise ParseError(f"model header says {n} params, file has {len(vals)}")
     return np.array(vals)
@@ -374,7 +373,8 @@ def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
         sweep, acc = _prune_sweep(p, result.x, spec.prune_thresholds)
         emit_plot_data(out_dir, cell, result.trace, sweep)
         row = _summary_row(p, spec, solver, reg, seed, result.x, acc,
-                           len(result.trace), result.stop_reason, sweep)
+                           [rec.batch_size for rec in result.trace],
+                           result.stop_reason, sweep)
     except Exception as exc:  # record, keep going
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
                "error": str(exc)}
@@ -395,12 +395,13 @@ def _worker_cell_job(cell_args):
     return _cell_job(*_worker_state, *cell_args)
 
 
-def _summary_row(p, spec, solver, reg, seed, x, acc, iterations,
+def _summary_row(p, spec, solver, reg, seed, x, acc, batches,
                  stop_reason, sweep):
+    """The cell's summary row.  batches are the batch sizes of its steps;
+    its epochs are the steps at each size over that size's epoch length."""
     report = diagnostics.sparsity_report(x, thresholds=(1e-3,))
     lam = getattr(reg, "lam", None)
     F_final = p.full_value(x) + reg_value(reg, x)
-    epoch_len = _epoch_length(p.N, spec.batch_size)
     return {
         "solver": solver,
         "reg": _reg_tag(reg),
@@ -411,8 +412,9 @@ def _summary_row(p, spec, solver, reg, seed, x, acc, iterations,
         "pct_zero": report.pct_exact_zero,
         "pct_below_1e-3": report.pct_below[1e-3],
         "stop_reason": stop_reason,
-        "iterations": iterations,
-        "epochs": iterations / epoch_len,
+        "iterations": len(batches),
+        "epochs": sum((k / _epoch_length(p.N, b)
+                       for b, k in Counter(batches).items()), 0.0),
         "prune_sweep": [
             {"alpha": a, "sparsity_pct": s, "accuracy": acc_}
             for a, s, acc_ in sweep
@@ -507,11 +509,12 @@ def rebuild_summary(out_dir):
         model_path = os.path.join(out_dir, f"model_{cell}.txt")
         if not (os.path.exists(trace_path) and os.path.exists(model_path)):
             continue
-        _, rows = read_trace_csv(trace_path)
+        cols, rows = read_trace_csv(trace_path)
         x = load_model(model_path)
         sweep, acc = _prune_sweep(p, x, spec.prune_thresholds)
-        row = _summary_row(p, spec, solver, reg, seed, x, acc, len(rows),
-                           "rebuilt", sweep)
+        col = cols.index("batch_size")
+        row = _summary_row(p, spec, solver, reg, seed, x, acc,
+                           [int(r[col]) for r in rows], "rebuilt", sweep)
         row["cell"] = cell
         summary.append(row)
     _write_summary(out_dir, spec, summary)

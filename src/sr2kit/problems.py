@@ -80,13 +80,6 @@ def _check_point(x, n):
 ALL = slice(None)
 
 
-def _c_order(A):
-    """A in C order.  The full oracles read the stored matrix in place, the
-    sampled ones a C-ordered copy A[idx]; the same layout gives both the
-    same bits."""
-    return np.ascontiguousarray(A)
-
-
 def _check_indices(idx, N):
     """idx as a sorted index array; rejects an empty, non-integer (float or
     boolean mask), out-of-range or repeated index set."""
@@ -104,24 +97,34 @@ def _check_indices(idx, N):
 
 
 class Problem:
-    """Finite-sum objective interface.
+    """Finite-sum objective interface over a design A (one row per term)
+    and its targets y.
 
-    Subclasses set n, N, name and write their math once:
-    _rows(idx) gathers the data rows of idx, _forward(x, rows) is the
-    forward pass, and _loss(fwd, rows) and _backward(fwd, rows) give the
-    per-sample losses and the mean gradient from it.  idx is a sorted,
-    unique, in-range index array, or ALL for the whole data set without a
-    copy.
+    Subclasses set n and write their math once: _forward(x, rows) is the
+    forward pass on the data rows (A[idx], y[idx]) of idx, and
+    _loss(fwd, rows) and _backward(fwd, rows) give the per-sample losses
+    and the mean gradient from it.  idx is a sorted, unique, in-range index
+    array, or ALL for the whole data set without a copy.
     """
 
     n: int
-    N: int
-    name: str
     L_bound: float | None = None
     labels: np.ndarray | None = None  # classification targets, +/-1
 
+    def __init__(self, A, y, name):
+        """A is stored as floats in C order: the full oracles read it in
+        place, the sampled ones a C-ordered copy A[idx], and the same
+        layout gives both the same bits."""
+        A = np.asarray(A, dtype=float)
+        if A.shape[0] == 0:
+            raise ValueError("empty design matrix")
+        self.A = np.ascontiguousarray(A)
+        self.y = np.asarray(y, dtype=float)
+        self.N = A.shape[0]
+        self.name = name
+
     def _rows(self, idx):
-        raise NotImplementedError
+        return self.A[idx], self.y[idx]
 
     def _forward(self, x, rows):
         raise NotImplementedError
@@ -193,36 +196,25 @@ class Sample:
     def grad(self, x):
         return self.grad_of(self.forward(x))
 
-    def value_and_grad(self, x):
-        return self._value_and_grad(_check_point(x, self.problem.n))
-
     def _value_and_grad(self, x):
-        """value_and_grad at a point that was checked when it was made."""
+        """value and grad at a point that was checked when it was made."""
         fwd = self._forward(x)
         return self.value_of(fwd), self.grad_of(fwd)
 
 
 class LeastSquares(Problem):
-    """f_i(x) = 1/2 (a_i^T x - b_i)^2."""
+    """f_i(x) = 1/2 (a_i^T x - y_i)^2."""
 
-    def __init__(self, A, b, name="least_squares"):
-        A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if A.shape[0] == 0:
-            raise ValueError("empty design matrix")
-        self.N, self.n = A.shape
-        self.name = name
+    def __init__(self, A, y, name="least_squares"):
+        super().__init__(A, y, name)
+        self.n = self.A.shape[1]
         # L = lambda_max(A^T A) / N, via power iteration on A as given (its
         # last bit can depend on the memory layout)
-        self.L_bound = _power_lmax(A) / self.N
-        self.A = _c_order(A)
-
-    def _rows(self, idx):
-        return self.A[idx], self.b[idx]
+        self.L_bound = _power_lmax(np.asarray(A, dtype=float)) / self.N
 
     def _forward(self, x, rows):
-        Ai, bi = rows
-        return Ai @ x - bi  # residual
+        Ai, yi = rows
+        return Ai @ x - yi  # residual
 
     def _loss(self, r, rows):
         return 0.5 * r**2
@@ -236,21 +228,13 @@ class Logistic(Problem):
     """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}."""
 
     def __init__(self, A, y, name="logistic"):
-        A = np.asarray(A, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if A.shape[0] == 0:
-            raise ValueError("empty design matrix")
+        super().__init__(A, y, name)
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        self.N, self.n = A.shape
-        self.name = name
+        self.n = self.A.shape[1]
         self.labels = self.y
         # sigmoid'(t) <= 1/4; power iteration on A as given, as above
-        self.L_bound = _power_lmax(A) / (4.0 * self.N)
-        self.A = _c_order(A)
-
-    def _rows(self, idx):
-        return self.A[idx], self.y[idx]
+        self.L_bound = _power_lmax(np.asarray(A, dtype=float)) / (4.0 * self.N)
 
     def _forward(self, x, rows):
         Ai, yi = rows
@@ -280,21 +264,17 @@ class TinyMLP(Problem):
 
     def __init__(self, features, targets, hidden, task="regression",
                  name="tiny_mlp"):
-        self.A = _c_order(np.asarray(features, dtype=float))
-        self.y = np.asarray(targets, dtype=float)
-        if self.A.shape[0] == 0:
-            raise ValueError("empty dataset")
+        super().__init__(features, targets, name)
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task {task!r}")
         if task == "classification" and not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("classification labels must be in {-1, +1}")
-        self.N, self.d = self.A.shape
+        self.d = self.A.shape[1]
         self.h = int(hidden)
         if self.h <= 0:
             raise ValueError("hidden must be positive")
         self.task = task
         self.n = self.h * self.d + 2 * self.h + 1
-        self.name = name
         if task == "classification":
             self.labels = self.y
         self.L_bound = None  # set by estimate_local_lipschitz when needed
@@ -306,9 +286,6 @@ class TinyMLP(Problem):
         w2 = x[h * d + h: h * d + 2 * h]
         b2 = x[-1]
         return W1, b1, w2, b2
-
-    def _rows(self, idx):
-        return self.A[idx], self.y[idx]
 
     def _forward(self, x, rows):
         W1, b1, w2, b2 = self._unpack(x)

@@ -11,9 +11,9 @@ rows, whose drawn indices are not checked again); f(x) and the gradient
 on it come from one forward pass, and f(x + s) on the same sample costs
 one more forward pass.
 
-Each point is checked once, when it is made: x0 by _drive, each trial
-point x + s where its _Point is built.  No evaluation at a point checks
-it again.
+Each point is checked once, when it is made: its _Point checks it (x0
+in _drive, each trial point x + s in sr2_step).  No evaluation at a point
+checks it again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
 no sample is drawn and the RNG is left untouched; the data set is read in
@@ -32,8 +32,8 @@ Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
 window is full and the mean falls below epsilon^2.
 
-One run loop, _drive, serves SR2 and both baselines: it checks that R(x0)
-is finite and then x0 itself, builds the SolverState, calls the solver's
+One run loop, _drive, serves SR2 and both baselines: it checks x0 and
+then that R(x0) is finite, builds the SolverState, calls the solver's
 own step (for run, sr2_step) up to max_iter times, tests the window after
 each accepted step (a rejection leaves the window and its mean as they
 were) and returns the RunResult.
@@ -64,19 +64,12 @@ __all__ = [
     "run",
 ]
 
-#: defaults used throughout: eta1=7.5e-4, eta2=0.99, gamma1=5.56, gamma3=0.8
-DEFAULT_ETA1 = 7.5e-4
-DEFAULT_ETA2 = 0.99
-DEFAULT_GAMMA1 = 5.56
-DEFAULT_GAMMA3 = 0.8
-
-
 @dataclass
 class SolverConfig:
-    eta1: float = DEFAULT_ETA1
-    eta2: float = DEFAULT_ETA2
-    gamma1: float = DEFAULT_GAMMA1
-    gamma3: float = DEFAULT_GAMMA3
+    eta1: float = 7.5e-4
+    eta2: float = 0.99
+    gamma1: float = 5.56
+    gamma3: float = 0.8
     sigma0: float = 1.0
     sigma_min: float = 1e-6
     epsilon: float = 1e-4
@@ -114,17 +107,17 @@ class SolverConfig:
 
 
 class _Point:
-    """A point with the values at it that do not depend on the sample:
-    R(x) and the full-batch forward pass, f(x) and gradient, each computed
-    on first use, and the last full-batch prox step with its sigma.
-    SolverState keeps the iterate's _Point while state.x is that same
-    array, so rejected steps reuse them; an accepted step replaces state.x
-    (it is never written in place) and with it the _Point."""
+    """A point, checked as it is made, with the values at it that do not
+    depend on the sample: R(x) and the full-batch forward pass, f(x) and
+    gradient, each computed on first use, and the last full-batch prox step
+    with its sigma.  SolverState keeps the iterate's _Point while state.x
+    is that same array, so rejected steps reuse them; an accepted step
+    replaces state.x (it is never written in place) and with it the _Point."""
 
     __slots__ = ("x", "_r", "_fwd", "_f", "_g", "_prox")
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, x, n):
+        self.x = _check_point(x, n)
         self._r = self._fwd = self._f = self._g = self._prox = None
 
     def reg_value(self, reg):
@@ -254,9 +247,9 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     t0 = time.perf_counter()
     at_x = state.point
     if at_x is None or at_x.x is not state.x:
-        # an iterate set from outside the run loop: checked here, once
-        state.x = _check_point(state.x, p.n)
-        at_x = state.point = _Point(state.x)
+        # an iterate set from outside the run loop
+        at_x = state.point = _Point(state.x, p.n)
+        state.x = at_x.x
     x = state.x
     sigma = state.sigma
     batch = min(state.batch_size, p.N)
@@ -277,7 +270,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     s = step.s
     step_norm_sq = float(s @ s)
     # the trial point is checked as it is made (a NaN norm included)
-    trial = _Point(_check_point(x + s, p.n)) if step_norm_sq != 0.0 else None
+    trial = _Point(x + s, p.n) if step_norm_sq != 0.0 else None
     f_after = None  # f(x + s) on this step's sample
 
     assumption_rejected = False
@@ -321,8 +314,6 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             rho = 0.0
         else:
             rho = delta_F / delta_psi
-            if math.isnan(rho):
-                raise NumericalFailureError("rho is NaN", iteration=state.t)
         accepted = rho >= cfg.eta1
 
     F_full = None
@@ -368,13 +359,11 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     step norms is full with a mean of at most epsilon^2, or for max_iter
     steps; cfg is validated.  A step that appends nothing to the window
     (the baselines') runs to the budget."""
-    x0 = np.array(x0, dtype=float)
-    at_x0 = _Point(x0)
+    at_x0 = _Point(np.array(x0, dtype=float), p.n)
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
-    _check_point(x0, p.n)
     state = SolverState(
-        x=x0,
+        x=at_x0.x,
         sigma=sigma,
         t=0,
         rng=np.random.default_rng(cfg.seed),

@@ -4,9 +4,10 @@ The references below are the iterations written without any shortcut: they
 draw a sample every step (SR2 also at full batch), evaluate every quantity
 through the public, checked oracles (sampled_grad, sampled_value,
 full_value) and keep nothing from one step to the next.  The solvers'
-lean paths (one checked sample and one forward pass per point, no draw at
-full batch, values reused across rejected steps) must give bitwise the
-same trace and iterate.
+lean paths (one sample whose drawn indices are not checked, one forward
+pass per point, each point checked once when it is made, no draw at full
+batch, values reused across rejected steps) must give bitwise the same
+trace and iterate.
 """
 
 from collections import Counter, deque

@@ -1,12 +1,15 @@
 """Experiment harness: config parsing, matrix runs, outputs, CLI."""
 
+import dataclasses
 import json
+import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sr2kit import baselines, cli, diagnostics, harness, problems
+from sr2kit import baselines, cli, diagnostics, harness, problems, sr2
 from sr2kit.errors import ParseError
 from sr2kit.regularizers import L1
 
@@ -49,6 +52,23 @@ run:
   seeds: [0, 1]
   batch_size: 16
   epochs: 3
+"""
+
+#: a solver section is appended
+EPOCHS_CONFIG = """\
+problem:
+  kind: logistic
+  N: 500
+  n: 5
+  gen_seed: 4
+regularizers:
+  - kind: l1
+    lam: 0.001
+run:
+  seeds: [0]
+  batch_size: 50
+  max_iter: 40
+solvers:
 """
 
 
@@ -452,6 +472,34 @@ class TestRunExperiments:
         assert all(r["iterations"] == 12 for r in proxgen_rows)
         assert all(r["epochs"] == pytest.approx(3.0) for r in proxgen_rows)
 
+    @pytest.mark.parametrize("options,sizes", [
+        ("{batch_size: 500}", [500]),
+        ("{assumption_check: sampled-proxy, kappa_m: 1.0e-6}",
+         [50, 100, 200, 400, 500])],
+        ids=["solver_batch", "guard_doubling"])
+    def test_epochs_follow_each_steps_batch(self, tmp_path, options, sizes):
+        # the solver's own batch, or the one the guard doubles to, not the
+        # run's batch_size sets how much of the data a step reads; run and
+        # report count it alike
+        cfg_path = write_config(tmp_path, EPOCHS_CONFIG + f"  sr2: {options}\n")
+        out = str(tmp_path / "out")
+        ran = harness.run_experiments(harness.parse_config(cfg_path), out,
+                                      config_path=cfg_path)
+        cols, rows = harness.read_trace_csv(
+            os.path.join(out, f"trace_{ran[0]['cell']}.csv"))
+        batches = Counter(int(r[cols.index("batch_size")]) for r in rows)
+        assert list(batches) == sizes
+        assert ran[0]["epochs"] == pytest.approx(
+            sum(k / math.ceil(500 / b) for b, k in batches.items()))
+        assert harness.rebuild_summary(out)[0]["epochs"] == ran[0]["epochs"]
+
+
+def test_trace_columns_are_the_record_fields():
+    # write_trace_csv writes a record's fields in their order
+    fields = [f.name for f in dataclasses.fields(sr2.IterationRecord)]
+    assert tuple("sigma" if name == "sigma_used" else name
+                 for name in fields) == harness.TRACE_COLUMNS
+
 
 def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
     # the prune sweep scores each distinct pruned model once, and the
@@ -573,6 +621,36 @@ class TestCli:
                          "--alpha", "1e-3"]) == 2
         assert capsys.readouterr().err == \
             "sr2kit: model header says 3 params, file has 2\n"
+
+    @pytest.mark.parametrize("text,error", [
+        ("x\n1.0\n", "line 1: expected a parameter count, got 'x'"),
+        ("2\n1.0\n\nabc\n", "line 4: not a number: 'abc'")],
+        ids=["header", "value"])
+    def test_prune_of_malformed_model_file_exits_2(self, tmp_path, capsys,
+                                                   text, error):
+        model = tmp_path / "m.txt"
+        model.write_text(text)
+        assert cli.main(["prune", "--model", str(model),
+                         "--alpha", "1e-3"]) == 2
+        assert capsys.readouterr().err == f"sr2kit: {error}\n"
+
+    def test_prune_writes_one_file_per_threshold(self, tmp_path, capsys):
+        # thresholds with the same leading digit get files of their own,
+        # each named by the shortest form that reads back as it; --out is
+        # made if it is missing
+        x = np.array([1.1e-3, 1.3e-3, 1.5e-3, 2e-4, 0.5])
+        model = tmp_path / "m.txt"
+        harness.save_model(model, x)
+        out = tmp_path / "new" / "pruned"
+        alphas = ["1e-3", "1.2e-3", "1.4e-3", "2.5e-4"]
+        assert cli.main(["prune", "--model", str(model), "--alpha", *alphas,
+                         "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(f"pruned_{a}.txt"
+                                                 for a in alphas)
+        for a in alphas:
+            np.testing.assert_array_equal(
+                harness.load_model(out / f"pruned_{a}.txt"),
+                diagnostics.prune(x, float(a))[0])
 
 
 FAILING_CELL_CONFIG = """\

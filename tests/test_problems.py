@@ -122,8 +122,8 @@ def explicit_value_and_grad(p, x, idx):
     pass, with every operation spelled out."""
     A = p.A[idx]
     if isinstance(p, LeastSquares):
-        value = np.mean(0.5 * (A @ x - p.b[idx]) ** 2)
-        grad = (A.T @ (A @ x - p.b[idx])) / A.shape[0]
+        value = np.mean(0.5 * (A @ x - p.y[idx]) ** 2)
+        grad = (A.T @ (A @ x - p.y[idx])) / A.shape[0]
     elif isinstance(p, Logistic):
         y = p.y[idx]
         value = np.mean(np.logaddexp(0.0, -(y * (A @ x))))
@@ -248,7 +248,7 @@ class TestSampling:
                                  replace=False))
         if shuffle:
             idx = rng.permutation(idx)
-        f, g = p.sample(idx).value_and_grad(x)
+        f, g = p.sample(idx)._value_and_grad(x)
         assert f == p.sampled_value(x, idx) == p.sample(idx).value(x)
         assert g.tobytes() == p.sampled_grad(x, idx).tobytes()
         f_ref, g_ref = explicit_value_and_grad(p, x, np.sort(idx))
@@ -283,7 +283,7 @@ class TestSampling:
                 with pytest.raises(ValueError):
                     sample.value(bad)
                 with pytest.raises(ValueError):
-                    sample.value_and_grad(bad)
+                    sample.grad(bad)
 
     def test_full_sample_reads_data_in_place(self):
         p = make_logistic(np.random.default_rng(3), 20, 4)
