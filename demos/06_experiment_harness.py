@@ -55,7 +55,8 @@ for f in sorted(out.iterdir())[:8]:
     print(" ", f.name)
 print("  ...")
 
-# summary.json holds the same rows; `sr2kit report --out DIR` rebuilds it
+# summary.json holds the same rows, each also saved as run_<cell>.json;
+# `sr2kit report --out DIR` writes summary.json again from those files
 rows = json.load(open(out / "summary.json"))
 print(f"\nsummary.json rows: {len(rows)}")
 print("equivalent CLI: sr2kit run --config config.yaml --out results/")

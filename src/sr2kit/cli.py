@@ -1,5 +1,5 @@
 """Command-line front end: run experiment matrices, prune saved models,
-and rebuild summaries from emitted traces."""
+and rebuild summaries from the rows saved per cell."""
 
 from __future__ import annotations
 
@@ -105,7 +105,8 @@ def main(argv=None):
                          help="directory for pruned model files")
     p_prune.set_defaults(func=_cmd_prune)
 
-    p_report = sub.add_parser("report", help="rebuild summary from traces")
+    p_report = sub.add_parser(
+        "report", help="rebuild summary.json from the saved cell rows")
     p_report.add_argument("--out", required=True,
                           help="experiment output directory")
     p_report.set_defaults(func=_cmd_report)

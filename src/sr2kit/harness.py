@@ -2,15 +2,17 @@
 
 A YAML config describes one problem, a regularizer grid, a solver grid and
 a list of seeds; run_experiments executes every (solver, regularizer,
-seed) cell, writing per-cell trace CSVs, model files and pruning sweeps,
-plus a machine-readable summary.  All outputs are deterministic functions
-of (config, seeds) except the wall-time trace column.
+seed) cell, writing per-cell trace CSVs, model files, pruning sweeps and
+summary rows (run_<cell>.json, failed cells included), plus summary.json,
+which rebuild_summary writes again from the saved rows.  All outputs are
+deterministic functions of (config, seeds) except the wall-time column.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -207,8 +209,15 @@ def parse_config(path):
     for key, low in (("batch_size", 1), ("max_iter", 0), ("epochs", 0)):
         if run[key] is not None and run[key] < low:
             raise ParseError(f"run.{key} must be >= {low}, got {run[key]}")
+    if run["max_iter"] is not None and run["epochs"] is not None:
+        raise ParseError("run takes max_iter or epochs, not both")
 
     spec = ExperimentSpec(problem=prob, regularizers=regs, solvers=solvers, **run)
+    # a cell's name names its files: two cells of one name overwrite them
+    [(name, count)] = Counter(_cell_name(*cell) for cell in itertools.product(
+        solvers, regs, spec.seeds)).most_common(1)
+    if count > 1:
+        raise ParseError(f"cell {name} appears {count} times in the grid")
     # proxsgd cannot run nonconvex regularizers; drop those cells up front
     if "proxsgd" in solvers:
         spec.skipped = [("proxsgd", _reg_tag(reg)) for reg in regs if not reg.convex]
@@ -264,6 +273,10 @@ def _reg_tag(reg):
                              for f in dataclasses.fields(reg))])
 
 
+def _cell_name(solver, reg, seed):
+    return f"{solver}_{_reg_tag(reg)}_s{seed}"
+
+
 def _fmt(v):
     if v is None:
         return ""
@@ -280,17 +293,6 @@ def write_trace_csv(path, trace):
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for rec in trace:  # IterationRecord's fields are TRACE_COLUMNS
             fh.write(",".join(_fmt(v) for v in vars(rec).values()) + "\n")
-
-
-def read_trace_csv(path):
-    """Returns (columns, rows) with rows as lists of strings."""
-    with open(path) as fh:
-        schema = fh.readline().strip().lstrip("# ")
-        if schema != TRACE_SCHEMA:
-            raise ParseError(f"unexpected trace schema {schema!r} in {path}")
-        cols = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return cols, rows
 
 
 def save_model(path, x):
@@ -330,10 +332,17 @@ def _resolve_alpha(overrides, p, solver):
     return alpha
 
 
-def _run_cell(spec, p, solver, reg, seed, max_iter):
+def _run_cell(spec, p, solver, reg, seed):
+    """Run one cell.  Its budget is the solver section's max_iter, else
+    run.max_iter, else run.epochs over the solver's own batch size, else
+    its config class's default."""
     config_class, module, runner = _SOLVERS[solver]
-    overrides = {"batch_size": spec.batch_size, "max_iter": max_iter,
-                 **spec.solvers[solver], "seed": seed}
+    overrides = {"batch_size": spec.batch_size, **spec.solvers[solver],
+                 "seed": seed}
+    budget = (spec.max_iter if spec.epochs is None else
+              spec.epochs * _epoch_length(p.N, overrides["batch_size"]))
+    if budget is not None:
+        overrides.setdefault("max_iter", budget)
     if config_class is baselines.BaselineConfig:
         overrides["alpha"] = _resolve_alpha(overrides, p, solver)
     return getattr(module, runner)(p, reg, np.zeros(p.n),
@@ -362,23 +371,23 @@ def _prune_sweep(p, x, thresholds):
     return rows, score(x)
 
 
-def _cell_job(spec, p, solver, reg, seed, max_iter, out_dir):
-    """Run one cell and write its outputs; returns its summary row.  A
-    failing cell gives an error row, in a pool worker as in the parent."""
-    cell = f"{solver}_{_reg_tag(reg)}_s{seed}"
+def _cell_job(spec, p, solver, reg, seed, out_dir):
+    """Run one cell, write its outputs and save its summary row; returns
+    the row.  A failing cell gives an error row, in a pool worker as in
+    the parent."""
+    cell = _cell_name(solver, reg, seed)
     try:
-        result = _run_cell(spec, p, solver, reg, seed, max_iter)
+        result = _run_cell(spec, p, solver, reg, seed)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
         sweep, acc = _prune_sweep(p, result.x, spec.prune_thresholds)
         emit_plot_data(out_dir, cell, result.trace, sweep)
-        row = _summary_row(p, spec, solver, reg, seed, result.x, acc,
-                           [rec.batch_size for rec in result.trace],
-                           result.stop_reason, sweep)
+        row = _summary_row(p, solver, reg, seed, result, acc, sweep)
     except Exception as exc:  # record, keep going
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
                "error": str(exc)}
     row["cell"] = cell
+    _write_json(os.path.join(out_dir, f"run_{cell}.json"), row)
     return row
 
 
@@ -395,26 +404,25 @@ def _worker_cell_job(cell_args):
     return _cell_job(*_worker_state, *cell_args)
 
 
-def _summary_row(p, spec, solver, reg, seed, x, acc, batches,
-                 stop_reason, sweep):
-    """The cell's summary row.  batches are the batch sizes of its steps;
-    its epochs are the steps at each size over that size's epoch length."""
+def _summary_row(p, solver, reg, seed, result, acc, sweep):
+    """The summary row of the cell's RunResult.  Its epochs are the steps
+    at each batch size over that size's epoch length."""
+    x = result.x
     report = diagnostics.sparsity_report(x, thresholds=(1e-3,))
-    lam = getattr(reg, "lam", None)
-    F_final = p.full_value(x) + reg_value(reg, x)
+    batches = Counter(rec.batch_size for rec in result.trace)
     return {
         "solver": solver,
         "reg": _reg_tag(reg),
-        "lambda": lam,
+        "lambda": getattr(reg, "lam", None),
         "seed": seed,
-        "final_objective": F_final,
+        "final_objective": p.full_value(x) + reg_value(reg, x),
         "accuracy": acc,
         "pct_zero": report.pct_exact_zero,
         "pct_below_1e-3": report.pct_below[1e-3],
-        "stop_reason": stop_reason,
-        "iterations": len(batches),
+        "stop_reason": result.stop_reason,
+        "iterations": len(result.trace),
         "epochs": sum((k / _epoch_length(p.N, b)
-                       for b, k in Counter(batches).items()), 0.0),
+                       for b, k in batches.items()), 0.0),
         "prune_sweep": [
             {"alpha": a, "sparsity_pct": s, "accuracy": acc_}
             for a, s, acc_ in sweep
@@ -425,14 +433,9 @@ def _summary_row(p, spec, solver, reg, seed, x, acc, batches,
 def plan_cells(spec):
     """(solver, regularizer, seed) triples after the skip rule."""
     skipped = set(spec.skipped)
-    cells = []
-    for solver in spec.solvers:
-        for reg in spec.regularizers:
-            if (solver, _reg_tag(reg)) in skipped:
-                continue
-            for seed in spec.seeds:
-                cells.append((solver, reg, seed))
-    return cells
+    return [(solver, reg, seed) for solver, reg, seed in itertools.product(
+        spec.solvers, spec.regularizers, spec.seeds)
+        if (solver, _reg_tag(reg)) not in skipped]
 
 
 def run_experiments(spec, out_dir, jobs=1, config_path=None):
@@ -445,15 +448,7 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
     if config_path is not None:
         _copy_config(config_path, out_dir, spec.seeds)
     p = build_problem(spec)
-    if spec.max_iter is not None:
-        max_iter = spec.max_iter
-    elif spec.epochs is not None:
-        max_iter = spec.epochs * _epoch_length(p.N, spec.batch_size)
-    else:
-        max_iter = 1000
-
-    cells = [(solver, reg, seed, max_iter, out_dir)
-             for solver, reg, seed in plan_cells(spec)]
+    cells = [(*cell, out_dir) for cell in plan_cells(spec)]
     if jobs > 1:
         # the problem goes to each worker once (inherited as is under fork),
         # not pickled with every cell
@@ -471,8 +466,12 @@ def _write_summary(out_dir, spec, summary):
     for solver, reg in spec.skipped:
         summary.append({"solver": solver, "reg": reg, "skipped": True,
                         "reason": "nonconvex regularizer unsupported by proxsgd"})
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -495,27 +494,23 @@ def emit_plot_data(out_dir, cell, trace, sweep):
 
 
 def rebuild_summary(out_dir):
-    """Recompute summary.json from the traces and models in out_dir (the
-    config copy written by run_experiments must be present)."""
+    """Write summary.json again from the rows that run_experiments saved
+    per cell in out_dir, in the order of the grid of its config copy.  A
+    missing or unreadable row leaves summary.json as it was."""
     config_path = os.path.join(out_dir, "config.yaml")
     if not os.path.exists(config_path):
         raise ParseError(f"no config.yaml in {out_dir}; cannot rebuild")
     spec = parse_config(config_path)
-    p = build_problem(spec)
     summary = []
-    for solver, reg, seed in plan_cells(spec):
-        cell = f"{solver}_{_reg_tag(reg)}_s{seed}"
-        trace_path = os.path.join(out_dir, f"trace_{cell}.csv")
-        model_path = os.path.join(out_dir, f"model_{cell}.txt")
-        if not (os.path.exists(trace_path) and os.path.exists(model_path)):
-            continue
-        cols, rows = read_trace_csv(trace_path)
-        x = load_model(model_path)
-        sweep, acc = _prune_sweep(p, x, spec.prune_thresholds)
-        col = cols.index("batch_size")
-        row = _summary_row(p, spec, solver, reg, seed, x, acc,
-                           [int(r[col]) for r in rows], "rebuilt", sweep)
-        row["cell"] = cell
-        summary.append(row)
+    for cell in plan_cells(spec):
+        path = os.path.join(out_dir, f"run_{_cell_name(*cell)}.json")
+        try:
+            with open(path) as fh:
+                summary.append(json.load(fh))
+        except FileNotFoundError:
+            raise ParseError(f"no {os.path.basename(path)} in {out_dir}; "
+                             "cannot rebuild") from None
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     _write_summary(out_dir, spec, summary)
     return summary

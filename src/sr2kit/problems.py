@@ -121,6 +121,8 @@ class Problem:
         self.A = np.ascontiguousarray(A)
         self.y = np.asarray(y, dtype=float)
         self.N = A.shape[0]
+        if self.y.shape != (self.N,):
+            raise ValueError(f"expected {self.N} targets, got shape {self.y.shape}")
         self.name = name
 
     def _rows(self, idx):

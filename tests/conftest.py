@@ -13,11 +13,22 @@ import itertools
 import numpy as np
 import pytest
 
+from sr2kit.harness import TRACE_SCHEMA
 from sr2kit.regularizers import L0, L1, Zero
 
 #: trace columns that may differ between reruns of a config (wall-clock
 #: time); every other output is a function of (config, seeds)
 NONDETERMINISTIC_COLUMNS = ("wall_time",)
+
+
+def read_trace_csv(path):
+    """A trace CSV as harness.write_trace_csv writes it: (columns, rows)
+    with rows as lists of strings."""
+    with open(path) as fh:
+        assert fh.readline() == f"# {TRACE_SCHEMA}\n", path
+        cols = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    return cols, rows
 
 
 def ista_reference(A, b, lam, tol=1e-10, max_iter=500_000):

@@ -37,6 +37,7 @@ from conftest import (
     l0ball_enumeration_oracle,
     lasso_objective,
     prox_grid_oracle,
+    read_trace_csv,
     scalar_value,
 )
 
@@ -294,8 +295,8 @@ def test_criterion_10_determinism(tmp_path):
     drop = [harness.TRACE_COLUMNS.index(c)
             for c in NONDETERMINISTIC_COLUMNS]
     for name in traces:
-        _, rows1 = harness.read_trace_csv(os.path.join(out1, name))
-        _, rows2 = harness.read_trace_csv(os.path.join(out2, name))
+        _, rows1 = read_trace_csv(os.path.join(out1, name))
+        _, rows2 = read_trace_csv(os.path.join(out2, name))
         assert len(rows1) == len(rows2)
         for a, b in zip(rows1, rows2):
             for j, (va, vb) in enumerate(zip(a, b)):

@@ -13,7 +13,7 @@ from sr2kit import baselines, cli, diagnostics, harness, problems, sr2
 from sr2kit.errors import ParseError
 from sr2kit.regularizers import L1
 
-from conftest import NONDETERMINISTIC_COLUMNS
+from conftest import NONDETERMINISTIC_COLUMNS, read_trace_csv
 
 BASIC_CONFIG = """\
 problem:
@@ -167,12 +167,19 @@ class TestParseConfig:
         ("sr2: {}", "sr2: {record_full_objective: 1}", "must be bool"),
         ("sr2: {}", "sr2: {seed: 4}", "seed"),
         ("sr2: {}", "sr2: [1]", "solvers.sr2 must be dict"),
+        ("max_iter: 60", "max_iter: 7\n  epochs: 2",
+         "run takes max_iter or epochs, not both"),
+        ("seeds: [3]", "seeds: [3, 3]",
+         "cell sr2_l1_0.05_s3 appears 2 times in the grid"),
+        ("    lam: 0.05\n", "    lam: 0.05\n  - kind: l1\n    lam: 0.0500000001\n",
+         "cell sr2_l1_0.05_s3 appears 2 times in the grid"),
     ], ids=["logistic_noise_sd", "least_squares_separation",
             "least_squares_hidden", "least_squares_task", "unknown_kind",
             "logistic_without_N", "mlp_without_data", "N_float",
             "lam_negative", "l0ball_k_float", "regularizer_not_mapping",
             "batch_size_float", "eta1_string", "eta1_zero", "bool_as_int",
-            "solver_seed", "solver_not_mapping"])
+            "solver_seed", "solver_not_mapping", "max_iter_and_epochs",
+            "repeated_seed", "regularizers_with_one_tag"])
     def test_config_error_is_parse_error_before_any_run(
             self, tmp_path, capsys, old, new, match):
         # every key is one that the code reads, and every value has its
@@ -367,7 +374,7 @@ class TestRunExperiments:
         out = str(tmp_path / "out")
         spec = harness.parse_config(cfg_path)
         summary = harness.run_experiments(spec, out, config_path=cfg_path)
-        cols, rows = harness.read_trace_csv(
+        cols, rows = read_trace_csv(
             os.path.join(out, f"trace_{summary[0]['cell']}.csv"))
         assert tuple(cols) == harness.TRACE_COLUMNS
         assert len(rows) == summary[0]["iterations"]
@@ -381,7 +388,7 @@ class TestRunExperiments:
         assert len(summary) == 2
         headers = set()
         for row in summary:
-            cols, _ = harness.read_trace_csv(
+            cols, _ = read_trace_csv(
                 os.path.join(out, f"trace_{row['cell']}.csv"))
             headers.add(tuple(cols))
         assert len(headers) == 1
@@ -399,8 +406,8 @@ class TestRunExperiments:
         for name in names1:
             p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
             if name.startswith("trace_"):
-                _, rows1 = harness.read_trace_csv(p1)
-                _, rows2 = harness.read_trace_csv(p2)
+                _, rows1 = read_trace_csv(p1)
+                _, rows2 = read_trace_csv(p2)
                 for a, b in zip(rows1, rows2):
                     for j, (va, vb) in enumerate(zip(a, b)):
                         if j not in drop:
@@ -455,11 +462,12 @@ class TestRunExperiments:
         out = str(tmp_path / "out")
         spec = harness.parse_config(cfg_path)
         original = harness.run_experiments(spec, out, config_path=cfg_path)
-        rebuilt = harness.rebuild_summary(out)
-        assert len(rebuilt) == len(original)
-        a, b = original[0], rebuilt[0]
-        assert a["final_objective"] == pytest.approx(b["final_objective"])
-        assert a["pct_zero"] == b["pct_zero"]
+        summary_path = os.path.join(out, "summary.json")
+        with open(summary_path, "rb") as fh:
+            written = fh.read()
+        assert harness.rebuild_summary(out) == original
+        with open(summary_path, "rb") as fh:
+            assert fh.read() == written
 
     def test_epoch_accounting(self, tmp_path):
         cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
@@ -485,13 +493,24 @@ class TestRunExperiments:
         out = str(tmp_path / "out")
         ran = harness.run_experiments(harness.parse_config(cfg_path), out,
                                       config_path=cfg_path)
-        cols, rows = harness.read_trace_csv(
+        cols, rows = read_trace_csv(
             os.path.join(out, f"trace_{ran[0]['cell']}.csv"))
         batches = Counter(int(r[cols.index("batch_size")]) for r in rows)
         assert list(batches) == sizes
         assert ran[0]["epochs"] == pytest.approx(
             sum(k / math.ceil(500 / b) for b, k in batches.items()))
         assert harness.rebuild_summary(out)[0]["epochs"] == ran[0]["epochs"]
+
+    def test_epochs_budget_follows_each_solvers_batch(self, tmp_path):
+        # 500 samples: an epoch is 10 steps of the run's batch 50 but one
+        # step of SR2's own batch 500
+        cfg = (EPOCHS_CONFIG.replace("max_iter: 40", "epochs: 1")
+               + "  sr2: {batch_size: 500}\n  proxgen: {}\n")
+        cfg_path = write_config(tmp_path, cfg)
+        ran = harness.run_experiments(harness.parse_config(cfg_path),
+                                      str(tmp_path / "out"))
+        assert [(r["solver"], r["iterations"], r["epochs"]) for r in ran] == [
+            ("sr2", 1, 1.0), ("proxgen", 10, 1.0)]
 
 
 def test_trace_columns_are_the_record_fields():
@@ -503,7 +522,7 @@ def test_trace_columns_are_the_record_fields():
 
 def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
     # the prune sweep scores each distinct pruned model once, and the
-    # summary reuses its score of x, in run and in report alike
+    # summary reuses its score of x; report scores none
     scored = []  # per cell: the bytes of each model whose margins are taken
     margins, prune_sweep = problems.Logistic.margins, harness._prune_sweep
 
@@ -523,11 +542,13 @@ def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
     run_rows = harness.run_experiments(spec, out, config_path=cfg_path)
     run_scored = scored[:]
     scored.clear()
-    report_rows = harness.rebuild_summary(out)
+    # report reads the saved rows: it sweeps and scores no model
+    assert harness.rebuild_summary(out) == run_rows
+    assert scored == []
     cells = [row["cell"] for row in run_rows if "cell" in row]
-    assert [row["cell"] for row in report_rows if "cell" in row] == cells
+    assert len(run_scored) == len(cells)
     saved = 0
-    for cell, models in (*zip(cells, run_scored), *zip(cells, scored)):
+    for cell, models in zip(cells, run_scored):
         x = harness.load_model(os.path.join(out, f"model_{cell}.txt"))
         pruned = {diagnostics.prune(x, alpha)[0].tobytes()
                   for alpha in spec.prune_thresholds}
@@ -681,8 +702,8 @@ def assert_same_outputs(out1, out2):
     for name in names:
         p1, p2 = os.path.join(out1, name), os.path.join(out2, name)
         if name.startswith("trace_"):
-            cols1, rows1 = harness.read_trace_csv(p1)
-            cols2, rows2 = harness.read_trace_csv(p2)
+            cols1, rows1 = read_trace_csv(p1)
+            cols2, rows2 = read_trace_csv(p2)
             assert cols1 == cols2 and len(rows1) == len(rows2)
             for a, b in zip(rows1, rows2):
                 assert [v for j, v in enumerate(a) if j not in drop] == \
@@ -714,6 +735,106 @@ class TestFailingCell:
         assert cli.main(["run", "--config", cfg_path, "--out", out_dir]) == 1
         assert "FAILED" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out_dir, "summary.json"))
+
+
+def write_overflowing_data(tmp_path):
+    """A 12 x 3 +/-1-labelled csv with one entry of 1e200: its L bound is
+    not finite, so every proxgen cell (alpha 1/L) fails."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 3))
+    y = np.where(X @ [1.0, -2.0, 0.5] >= 0, 1.0, -1.0)
+    X[5, 1] = 1e200
+    path = str(tmp_path / "big.csv")
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g")
+    return path
+
+
+REPORT_CONFIG = """\
+problem:
+  kind: data_logistic
+  data: {data}
+regularizers:
+  - kind: l1
+    lam: 0.01
+  - kind: l0
+    lam: 0.01
+solvers:
+  sr2: {{}}
+  proxgen: {{}}
+  proxsgd: {{}}
+run:
+  seeds: [0, 1]
+  batch_size: 4
+  max_iter: 20
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestReport:
+    @pytest.fixture
+    def ran(self, tmp_path, request):
+        """An output directory of `sr2kit run` with failed and skipped
+        cells, and its summary.json bytes."""
+        cfg = REPORT_CONFIG.format(data=write_overflowing_data(tmp_path))
+        cfg_path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg_path, "--out", out,
+                         "--jobs", str(request.param)]) == 1
+        with open(os.path.join(out, "summary.json"), "rb") as fh:
+            return out, fh.read()
+
+    @pytest.mark.parametrize("ran", [1, 2], indirect=True,
+                             ids=["jobs1", "jobs2"])
+    def test_report_rewrites_summary_byte_for_byte(self, ran, capsys):
+        out, written = ran
+        rows = json.loads(written)
+        assert [r["cell"] for r in rows if "error" in r] == [
+            "proxgen_l1_0.01_s0", "proxgen_l1_0.01_s1",
+            "proxgen_l0_0.01_s0", "proxgen_l0_0.01_s1"]
+        assert [(r["solver"], r["reg"]) for r in rows if r.get("skipped")] \
+            == [("proxsgd", "l0_0.01")]
+        assert {r["stop_reason"] for r in rows if "stop_reason" in r} \
+            == {"budget"}
+        assert cli.main(["report", "--out", out]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"rebuilt {len(rows)} summary rows in {out}\n")
+        with open(os.path.join(out, "summary.json"), "rb") as fh:
+            assert fh.read() == written
+
+    @pytest.mark.parametrize("ran", [1], indirect=True, ids=["jobs1"])
+    def test_report_builds_no_problem_and_scores_no_model(
+            self, ran, monkeypatch):
+        def fail(*args):
+            raise AssertionError("report must only read the saved rows")
+
+        monkeypatch.setattr(harness, "build_problem", fail)
+        monkeypatch.setattr(harness, "_prune_sweep", fail)
+        out, written = ran
+        assert cli.main(["report", "--out", out]) == 0
+        with open(os.path.join(out, "summary.json"), "rb") as fh:
+            assert fh.read() == written
+
+    @pytest.mark.parametrize("ran", [1], indirect=True, ids=["jobs1"])
+    @pytest.mark.parametrize("text,error", [
+        (None, "no run_sr2_l0_0.01_s1.json in {out}; cannot rebuild"),
+        ('{"cell": ', "{path}: Expecting value: line 1 column 10 (char 9)")],
+        ids=["missing", "truncated"])
+    def test_unreadable_row_exits_2_and_keeps_summary(self, ran, capsys,
+                                                      text, error):
+        # a directory written before rows were saved per cell is refused,
+        # not summarised in part
+        out, written = ran
+        path = os.path.join(out, "run_sr2_l0_0.01_s1.json")
+        os.remove(path)
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        capsys.readouterr()
+        assert cli.main(["report", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"sr2kit: {error.format(out=out, path=path)}\n"
+        with open(os.path.join(out, "summary.json"), "rb") as fh:
+            assert fh.read() == written
 
 
 class TestJobsOption:

@@ -168,6 +168,18 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             LeastSquares(np.zeros((0, 3)), np.zeros(0))
 
+    @pytest.mark.parametrize("make", [
+        lambda y: LeastSquares(np.eye(3), y),
+        lambda y: Logistic(np.eye(3), y),
+        lambda y: TinyMLP(np.eye(3), y, hidden=2)],
+        ids=["least_squares", "logistic", "mlp"])
+    @pytest.mark.parametrize("y", [np.ones(2), np.ones((3, 1)), 1.0],
+                             ids=["short", "column", "scalar"])
+    def test_targets_not_one_per_row_rejected(self, make, y):
+        # Problem checks y when it is built, not at the first evaluation
+        with pytest.raises(ValueError, match="expected 3 targets"):
+            make(y)
+
     def test_nonfinite_point_rejected(self):
         p = LeastSquares(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
