@@ -46,8 +46,9 @@ class BaselineConfig:
     record_full_objective: bool = False
 
     def validated(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
         if self.schedule not in ("constant", "inverse-sqrt"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.batch_size < 1:

@@ -6,6 +6,10 @@ seed) cell, writing per-cell trace CSVs, model files, pruning sweeps and
 summary rows (run_<cell>.json, failed cells included), plus summary.json,
 which rebuild_summary writes again from the saved rows.  All outputs are
 deterministic functions of (config, seeds) except the wall-time column.
+
+A baseline's alpha: auto (1/L) is resolved once per run, in the parent
+process, before any cell runs: a pool worker never computes L, and a grid
+without such a baseline never does.
 """
 
 from __future__ import annotations
@@ -323,19 +327,25 @@ def _epoch_length(N, batch):
     return math.ceil(N / min(batch, N))
 
 
-def _resolve_alpha(overrides, p, solver):
-    alpha = overrides.get("alpha", "auto")
-    if alpha == "auto":
-        alpha = 1.0 / p.L_bound if p.L_bound else 1e-3
-        if solver == "proxsgd":
-            alpha = min(1.0, alpha)  # interpolation factor lives in (0, 1]
-    return alpha
+def _resolve_alpha(spec, p):
+    """spec with alpha: auto (a baseline section without alpha) set to 1/L
+    on p for each baseline that has a cell: the one read of L in a run."""
+    solvers = dict(spec.solvers)
+    for solver in {solver for solver, _, _ in plan_cells(spec)}:
+        if (_SOLVERS[solver][0] is baselines.BaselineConfig
+                and "alpha" not in solvers[solver]):
+            alpha = 1.0 / p.L_bound if p.L_bound else 1e-3
+            if solver == "proxsgd":
+                alpha = min(1.0, alpha)  # interpolation factor lives in (0, 1]
+            solvers[solver] = {**solvers[solver], "alpha": alpha}
+    return dataclasses.replace(spec, solvers=solvers)
 
 
 def _run_cell(spec, p, solver, reg, seed):
     """Run one cell.  Its budget is the solver section's max_iter, else
     run.max_iter, else run.epochs over the solver's own batch size, else
-    its config class's default."""
+    its config class's default.  A baseline's alpha is resolved in spec
+    (_resolve_alpha)."""
     config_class, module, runner = _SOLVERS[solver]
     overrides = {"batch_size": spec.batch_size, **spec.solvers[solver],
                  "seed": seed}
@@ -343,8 +353,6 @@ def _run_cell(spec, p, solver, reg, seed):
               spec.epochs * _epoch_length(p.N, overrides["batch_size"]))
     if budget is not None:
         overrides.setdefault("max_iter", budget)
-    if config_class is baselines.BaselineConfig:
-        overrides["alpha"] = _resolve_alpha(overrides, p, solver)
     return getattr(module, runner)(p, reg, np.zeros(p.n),
                                    config_class(**overrides))
 
@@ -371,12 +379,21 @@ def _prune_sweep(p, x, thresholds):
     return rows, score(x)
 
 
+#: the output files of a cell, by its name
+_CELL_FILES = ("trace_{}.csv", "model_{}.txt", "prune_sparsity_{}.dat",
+               "prune_accuracy_{}.dat", "objective_{}.dat", "sigma_{}.dat")
+
+
 def _cell_job(spec, p, solver, reg, seed, out_dir):
     """Run one cell, write its outputs and save its summary row; returns
-    the row.  A failing cell gives an error row, in a pool worker as in
-    the parent."""
+    the row.  The cell's files from an earlier run go first, so a cell
+    that fails leaves none.  A failing cell gives an error row, in a pool
+    worker as in the parent."""
     cell = _cell_name(solver, reg, seed)
     try:
+        for name in _CELL_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name.format(cell)))
         result = _run_cell(spec, p, solver, reg, seed)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
@@ -448,6 +465,7 @@ def run_experiments(spec, out_dir, jobs=1, config_path=None):
     if config_path is not None:
         _copy_config(config_path, out_dir, spec.seeds)
     p = build_problem(spec)
+    spec = _resolve_alpha(spec, p)
     cells = [(*cell, out_dir) for cell in plan_cells(spec)]
     if jobs > 1:
         # the problem goes to each worker once (inherited as is under fork),

@@ -2,7 +2,8 @@
 
 Every problem is a mean of N per-sample terms, f(x) = (1/N) sum_i f_i(x),
 with analytic gradients and (where available) a computable Lipschitz bound
-on the full gradient.  Summation is always in ascending index order so
+on the full gradient, which is computed only when something reads it (SR2
+never does).  Summation is always in ascending index order so
 full-batch evaluation is bitwise reproducible.
 
 Evaluation has one path.  Problem.sample(idx) checks the index set once
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +107,13 @@ class Problem:
     _loss(fwd, rows) and _backward(fwd, rows) give the per-sample losses
     and the mean gradient from it.  idx is a sorted, unique, in-range index
     array, or ALL for the whole data set without a copy.
+
+    L_bound is a Lipschitz bound on the full gradient, or None.  Where a
+    subclass can compute one, it does so on first read, from the stored A,
+    so it depends only on the data and not on its memory layout.  Only
+    these read it: a baseline's alpha: auto in the harness (once per run),
+    SR2's kappa_m: auto under the assumption guard, and
+    make_sparse_recovery's l0_lambda.  It may be assigned.
     """
 
     n: int
@@ -205,14 +214,16 @@ class Sample:
 
 
 class LeastSquares(Problem):
-    """f_i(x) = 1/2 (a_i^T x - y_i)^2."""
+    """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N, by
+    power iteration on the stored A on first read (see Problem)."""
 
     def __init__(self, A, y, name="least_squares"):
         super().__init__(A, y, name)
         self.n = self.A.shape[1]
-        # L = lambda_max(A^T A) / N, via power iteration on A as given (its
-        # last bit can depend on the memory layout)
-        self.L_bound = _power_lmax(np.asarray(A, dtype=float)) / self.N
+
+    @cached_property
+    def L_bound(self):
+        return _power_lmax(self.A) / self.N
 
     def _forward(self, x, rows):
         Ai, yi = rows
@@ -227,7 +238,9 @@ class LeastSquares(Problem):
 
 
 class Logistic(Problem):
-    """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}."""
+    """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}.  L_bound =
+    lambda_max(A^T A) / (4N), since sigmoid' <= 1/4, by power iteration on
+    the stored A on first read (see Problem)."""
 
     def __init__(self, A, y, name="logistic"):
         super().__init__(A, y, name)
@@ -235,8 +248,10 @@ class Logistic(Problem):
             raise ValueError("labels must be in {-1, +1}")
         self.n = self.A.shape[1]
         self.labels = self.y
-        # sigmoid'(t) <= 1/4; power iteration on A as given, as above
-        self.L_bound = _power_lmax(np.asarray(A, dtype=float)) / (4.0 * self.N)
+
+    @cached_property
+    def L_bound(self):
+        return _power_lmax(self.A) / (4.0 * self.N)
 
     def _forward(self, x, rows):
         Ai, yi = rows

@@ -173,13 +173,18 @@ class TestParseConfig:
          "cell sr2_l1_0.05_s3 appears 2 times in the grid"),
         ("    lam: 0.05\n", "    lam: 0.05\n  - kind: l1\n    lam: 0.0500000001\n",
          "cell sr2_l1_0.05_s3 appears 2 times in the grid"),
+        ("sr2: {}", "proxgen: {alpha: .nan}",
+         r"\[solvers.proxgen\] alpha must be positive and finite, got nan"),
+        ("sr2: {}", "proxgen: {alpha: .inf}",
+         r"\[solvers.proxgen\] alpha must be positive and finite, got inf"),
     ], ids=["logistic_noise_sd", "least_squares_separation",
             "least_squares_hidden", "least_squares_task", "unknown_kind",
             "logistic_without_N", "mlp_without_data", "N_float",
             "lam_negative", "l0ball_k_float", "regularizer_not_mapping",
             "batch_size_float", "eta1_string", "eta1_zero", "bool_as_int",
             "solver_seed", "solver_not_mapping", "max_iter_and_epochs",
-            "repeated_seed", "regularizers_with_one_tag"])
+            "repeated_seed", "regularizers_with_one_tag", "alpha_nan",
+            "alpha_inf"])
     def test_config_error_is_parse_error_before_any_run(
             self, tmp_path, capsys, old, new, match):
         # every key is one that the code reads, and every value has its
@@ -736,6 +741,54 @@ class TestFailingCell:
         assert "FAILED" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out_dir, "summary.json"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_alpha_auto_without_finite_L_names_alpha(self, tmp_path):
+        # 1/L is not a step size when L is not finite: the cell's config
+        # check names alpha, in a pool worker as in the parent
+        cfg = (REPORT_CONFIG.format(data=write_overflowing_data(tmp_path))
+               .replace("proxgen: {}", "proxgen: {alpha: auto}"))
+        cfg_path = write_config(tmp_path, cfg)
+        spec = harness.parse_config(cfg_path)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        summaries = [harness.run_experiments(spec, out, jobs=j,
+                                             config_path=cfg_path)
+                     for j, out in zip((1, 2), outs)]
+        assert summaries[0] == summaries[1]
+        errors = [r for r in summaries[0] if "error" in r]
+        assert [r["cell"] for r in errors] == [
+            f"proxgen_{reg}_s{seed}" for reg in ("l1_0.01", "l0_0.01")
+            for seed in (0, 1)]
+        assert all(r["error"].startswith("alpha must be positive and finite")
+                   for r in errors)
+        assert_same_outputs(*outs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_rerun_leaves_no_stale_files(self, tmp_path, jobs):
+        # the proxsgd cells run, then fail on a rerun into the same
+        # directory without the sr2 cells: the failed cells keep only their
+        # error rows, and the sr2 cells' files are left as they were
+        out = str(tmp_path / "o")
+        cfg_path = write_config(
+            tmp_path, FAILING_CELL_CONFIG.replace("alpha: 2.0", "alpha: 0.5"))
+        assert cli.main(["run", "--config", cfg_path, "--out", out,
+                         "--jobs", str(jobs)]) == 0
+        before = {}
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), "rb") as fh:
+                before[name] = fh.read()
+        assert sum(name.startswith("prune_accuracy_proxsgd") for name in before) == 2
+        cfg_path = write_config(
+            tmp_path, FAILING_CELL_CONFIG.replace("  sr2: {}\n", ""))
+        assert cli.main(["run", "--config", cfg_path, "--out", out,
+                         "--jobs", str(jobs)]) == 1
+        after = sorted(os.listdir(out))
+        assert [name for name in after if "proxsgd" in name] == [
+            "run_proxsgd_l1_0.01_s0.json", "run_proxsgd_l1_0.01_s1.json"]
+        for name in before:
+            if "sr2" in name:
+                with open(os.path.join(out, name), "rb") as fh:
+                    assert fh.read() == before[name], name
+
 
 def write_overflowing_data(tmp_path):
     """A 12 x 3 +/-1-labelled csv with one entry of 1e200: its L bound is
@@ -868,3 +921,50 @@ class TestJobsOption:
         assert cli.main(["run", "--config", cfg_path, "--out",
                          str(tmp_path / "o"), "--jobs", cpus]) == 0
         assert seen["jobs"] == int(cpus)
+
+
+@pytest.fixture
+def power_iterations(monkeypatch):
+    """The calls of problems._power_lmax in this process; a call in any
+    other process (a pool worker) raises."""
+    calls = []
+    power_lmax, parent = problems._power_lmax, os.getpid()
+
+    def counted(A, *args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("power iteration in a pool worker")
+        calls.append(A.shape)
+        return power_lmax(A, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "_power_lmax", counted)
+    return calls
+
+
+class TestLipschitzOnlyWhenRead:
+    @pytest.mark.parametrize("make", [problems.make_least_squares,
+                                      problems.make_logistic])
+    def test_problem_and_sr2_run_compute_none(self, power_iterations, make):
+        p = make(np.random.default_rng(0), 60, 5)
+        sr2.run(p, L1(0.01), np.zeros(p.n),
+                sr2.SolverConfig(batch_size=8, max_iter=50, seed=1))
+        assert power_iterations == []
+
+    def test_sr2_grid_computes_none(self, tmp_path, power_iterations):
+        spec = harness.parse_config(write_config(tmp_path, BASIC_CONFIG))
+        harness.run_experiments(spec, str(tmp_path / "o"))
+        assert power_iterations == []
+
+    def test_alpha_auto_computed_once_in_the_parent(self, tmp_path,
+                                                    power_iterations):
+        # proxgen and proxsgd both take 1/L; at --jobs 2 a worker that
+        # computed L would fail its cell
+        cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG.replace(
+            "proxgen: {}", "proxgen: {alpha: auto}"))
+        spec = harness.parse_config(cfg_path)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        summary = harness.run_experiments(spec, outs[0], config_path=cfg_path)
+        assert power_iterations == [(60, 6)]
+        assert harness.run_experiments(spec, outs[1], jobs=2,
+                                       config_path=cfg_path) == summary
+        assert not any("error" in row for row in summary)
+        assert_same_outputs(*outs)

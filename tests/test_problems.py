@@ -372,6 +372,20 @@ def test_lipschitz_bound_on_random_pairs(maker, kwargs):
         assert lhs <= p.L_bound * np.linalg.norm(x - y) * (1 + 1e-8)
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["least_squares", "logistic"]),
+       N=st.integers(1, 40), n=st.integers(1, 8), layout=LAYOUTS,
+       seed=st.integers(0, 2**32 - 1))
+def test_lipschitz_bound_depends_only_on_the_data(kind, N, n, layout, seed):
+    # L is computed from the stored C-ordered A: every layout of one matrix
+    # gives the bits of C order, which are those of power iteration on it
+    p = build_problem(kind, N, n, layout, np.random.default_rng(seed))
+    c = build_problem(kind, N, n, "C", np.random.default_rng(seed))
+    assert p.L_bound.hex() == c.L_bound.hex()
+    scale = 1.0 if kind == "least_squares" else 4.0
+    assert c.L_bound.hex() == (problems._power_lmax(c.A) / (scale * N)).hex()
+
+
 class TestSparseRecovery:
     def test_planted_solution_interpolates(self):
         rng = np.random.default_rng(21)
