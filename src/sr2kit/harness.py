@@ -335,8 +335,8 @@ def _resolve_alpha(spec, p):
         if (_SOLVERS[solver][0] is baselines.BaselineConfig
                 and "alpha" not in solvers[solver]):
             alpha = 1.0 / p.L_bound if p.L_bound else 1e-3
-            if solver == "proxsgd":
-                alpha = min(1.0, alpha)  # interpolation factor lives in (0, 1]
+            if solver == "proxsgd" and alpha > 1.0:  # a NaN stays, to fail
+                alpha = 1.0  # interpolation factor lives in (0, 1]
             solvers[solver] = {**solvers[solver], "alpha": alpha}
     return dataclasses.replace(spec, solvers=solvers)
 

@@ -18,25 +18,26 @@ checks it again.
 Full batch (batch == N, which the batch never leaves once it gets there):
 no sample is drawn and the RNG is left untouched; the data set is read in
 place; and the forward pass, f(x), the gradient and R(x) are kept while x
-is unchanged, so a rejected step only changes sigma, as in the
-deterministic R2.  The prox step is kept too, with the sigma it was taken
-for: at an unchanged x it depends on sigma alone, and sigma only repeats
-there once it has overflowed to inf, so the steps of that dead state cost
-only their record.  The forward pass computed for f(x + s) is kept with
-the trial point, so an accepted point's gradient needs no second forward
-pass.  Any full objective f(x) + R(x) (rho_mode="full",
+is unchanged, so a rejected step only changes sigma and takes one prox
+step, as in the deterministic R2.  The forward pass computed for f(x + s)
+is kept with the trial point, so an accepted point's gradient needs no
+second forward pass.  Any full objective f(x) + R(x) (rho_mode="full",
 record_full_objective, the "full" assumption guard) is evaluated at most
 once per iterate in every mode.
 
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
-window is full and the mean falls below epsilon^2.
+window is full and the mean falls below epsilon^2.  A full-batch run also
+stops, on "zero_step", at its first zero step that the guard did not
+make: only sigma changes after it, and in exact arithmetic ||s|| does not
+grow with sigma, so every later step is zero too (R2's sigma ||s|| is
+already 0).
 
 One run loop, _drive, serves SR2 and both baselines: it checks x0 and
 then that R(x0) is finite, builds the SolverState, calls the solver's
 own step (for run, sr2_step) up to max_iter times, tests the window after
 each accepted step (a rejection leaves the window and its mean as they
-were) and returns the RunResult.
+were), stops at a full-batch zero step and returns the RunResult.
 """
 
 from __future__ import annotations
@@ -109,16 +110,16 @@ class SolverConfig:
 class _Point:
     """A point, checked as it is made, with the values at it that do not
     depend on the sample: R(x) and the full-batch forward pass, f(x) and
-    gradient, each computed on first use, and the last full-batch prox step
-    with its sigma.  SolverState keeps the iterate's _Point while state.x
-    is that same array, so rejected steps reuse them; an accepted step
-    replaces state.x (it is never written in place) and with it the _Point."""
+    gradient, each computed on first use.  SolverState keeps the iterate's
+    _Point while state.x is that same array, so rejected steps reuse them;
+    an accepted step replaces state.x (it is never written in place) and
+    with it the _Point."""
 
-    __slots__ = ("x", "_r", "_fwd", "_f", "_g", "_prox")
+    __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
     def __init__(self, x, n):
         self.x = _check_point(x, n)
-        self._r = self._fwd = self._f = self._g = self._prox = None
+        self._r = self._fwd = self._f = self._g = None
 
     def reg_value(self, reg):
         if self._r is None:
@@ -141,16 +142,6 @@ class _Point:
             full = p.sample(ALL)
             self._g = full.grad_of(self._forward(full))
         return self._g
-
-    def full_prox(self, p, reg, sigma):
-        """The prox step from the full gradient, computed again only when
-        sigma differs from the last call's.  Its arrays are shared between
-        the calls and never written in place."""
-        if self._prox is None or self._prox[0] != sigma:
-            step = shifted_prox(reg, self.x, self.full_grad(p), sigma,
-                                self.reg_value(reg))
-            self._prox = (sigma, step)
-        return self._prox[1]
 
     def value_on(self, p, sample):
         """f on the sample; None stands for the full batch."""
@@ -195,7 +186,7 @@ class IterationRecord:
 class RunResult:
     x: np.ndarray
     trace: list
-    stop_reason: str            # "stationarity" | "budget"
+    stop_reason: str            # "stationarity" | "zero_step" | "budget"
     state: SolverState
 
 
@@ -255,17 +246,15 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     batch = min(state.batch_size, p.N)
     r_x = at_x.reg_value(reg)
     if batch == p.N:
-        # the sample is {0..N-1}: no draw, and f, g and (while sigma
-        # repeats) the prox step at an unchanged x are reused from the
-        # rejected steps before
+        # the sample is {0..N-1}: no draw, and f and g at an unchanged x
+        # are reused from the rejected steps before
         sample = None
         g = at_x.full_grad(p)
         f_before = at_x.full_value(p)
-        step = at_x.full_prox(p, reg, sigma)
     else:
         sample = p.draw(state.rng, batch)
         f_before, g = sample._value_and_grad(x)
-        step = shifted_prox(reg, x, g, sigma, r_x)
+    step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x
     s = step.s
     step_norm_sq = float(s @ s)
@@ -356,9 +345,11 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
 
 def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     """Call step(p, reg, state, cfg) until the window of accepted squared
-    step norms is full with a mean of at most epsilon^2, or for max_iter
-    steps; cfg is validated.  A step that appends nothing to the window
-    (the baselines') runs to the budget."""
+    step norms is full with a mean of at most epsilon^2 ("stationarity"),
+    until a full-batch step is rejected with s = 0 and not by the guard
+    ("zero_step", that record last in the trace), or for max_iter steps
+    ("budget"); cfg is validated.  A step that appends nothing to the
+    window and is always accepted (the baselines') runs to the budget."""
     at_x0 = _Point(np.array(x0, dtype=float), p.n)
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
@@ -379,6 +370,10 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
         # only an accepted step appends to the window; after a rejection
         # its mean is the one already found above epsilon^2
         if not record.accepted:
+            if (record.step_norm_sq == 0.0 and record.batch_size == p.N
+                    and not record.assumption_rejected):
+                stop_reason = "zero_step"
+                break
             continue
         est = stationarity_estimate(state)
         if est is not None and est <= epsilon**2:
@@ -389,6 +384,7 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
 
 def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
     """Iterate sr2_step until the stationarity estimate drops below
-    epsilon^2 or the iteration budget runs out."""
+    epsilon^2, a full-batch step is zero, or the iteration budget runs
+    out."""
     cfg = cfg.validated()
     return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window, cfg.epsilon)

@@ -3,7 +3,9 @@
 The references below are the iterations written without any shortcut: they
 draw a sample every step (SR2 also at full batch), evaluate every quantity
 through the public, checked oracles (sampled_grad, sampled_value,
-full_value) and keep nothing from one step to the next.  The solvers'
+full_value) and keep nothing from one step to the next.  The SR2 reference
+stops where the package does: on the window, at a full-batch zero step
+that is not a guard rejection, or at the budget.  The solvers'
 lean paths (one sample whose drawn indices are not checked, one forward
 pass per point, each point checked once when it is made, no draw at full
 batch, values reused across rejected steps) must give bitwise the same
@@ -11,10 +13,13 @@ trace and iterate.
 """
 
 from collections import Counter, deque
+from datetime import timedelta
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from sr2kit import problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
@@ -25,9 +30,10 @@ from sr2kit.problems import (
     Logistic,
     TinyMLP,
     draw_sample,
+    make_least_squares,
     make_logistic,
 )
-from sr2kit.regularizers import L0, L1, Zero, reg_value, shifted_prox
+from sr2kit.regularizers import L0, L1, L0Ball, Zero, reg_value, shifted_prox
 from sr2kit.sr2 import (
     SolverConfig,
     SolverState,
@@ -109,7 +115,16 @@ def reference_step(p, reg, state, cfg):
                 nnz=int(np.count_nonzero(state.x)))
 
 
-def reference_run(p, reg, x0, cfg):
+def is_zero_step(p, rec):
+    """A full-batch step rejected with s = 0, not by the guard: x, f, g
+    and R(x) stay as they are and only sigma grows."""
+    return (not rec["accepted"] and rec["step_norm_sq"] == 0.0
+            and rec["batch_size"] == p.N and not rec["assumption_rejected"])
+
+
+def reference_run(p, reg, x0, cfg, zero_step_stop=True):
+    """The SR2 loop; with zero_step_stop=False it runs on through the zero
+    steps, as the package did before it stopped at the first."""
     state = SolverState(x=np.array(x0, dtype=float), sigma=cfg.sigma0, t=0,
                         rng=np.random.default_rng(cfg.seed),
                         batch_size=min(cfg.batch_size, p.N),
@@ -117,6 +132,8 @@ def reference_run(p, reg, x0, cfg):
     trace = []
     for _ in range(cfg.max_iter):
         trace.append(reference_step(p, reg, state, cfg))
+        if zero_step_stop and is_zero_step(p, trace[-1]):
+            break
         est = stationarity_estimate(state)
         if est is not None and est <= cfg.epsilon**2:
             break
@@ -183,22 +200,33 @@ def lasso_c5(lasso_instance):
 
 
 def test_full_batch_lasso_with_dead_state(lasso_instance):
-    # criterion-5 instance: sigma overflows to inf within a few hundred
-    # iterations, after which every step is a zero-step rejection
+    # criterion-5 instance: without the zero-step stop sigma overflows to
+    # inf within a few hundred iterations, after which every step is a
+    # zero-step rejection; the package stops at the first zero step, on
+    # the x that the loop without the stop still holds after 2000
     p = lasso_c5(lasso_instance)
+    reg = L1(lasso_instance["lam"])
     cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-6, seed=0)
-    res = assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
-    dead = sum(1 for r in res.trace if np.isinf(r.sigma_used))
-    assert dead >= 1000
+    res = assert_same_trace(p, reg, np.zeros(p.n), cfg)
+    assert res.stop_reason == "zero_step"
+    assert len(res.trace) < 100
+    assert not any(np.isinf(r.sigma_used) for r in res.trace)
+    x_on, on = reference_run(p, reg, np.zeros(p.n), cfg, zero_step_stop=False)
+    assert len(on) == cfg.max_iter
+    assert sum(np.isinf(r["sigma_used"]) for r in on) >= 1000
+    assert x_on.tobytes() == res.x.tobytes()
+    for name in COLUMNS:
+        got, want = column(res.trace, name), column(on[:len(res.trace)], name)
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("epsilon,stop_reason", [(1e-12, "stationarity"),
-                                                (1e-14, "budget")])
+                                                (1e-14, "zero_step")])
 def test_full_batch_lasso_full_window(lasso_instance, epsilon, stop_reason):
-    # a window of 5 is full after the fifth accepted step, long before
-    # sigma overflows, so rejections with a full window, after which the
-    # package skips the stop test, occur: at epsilon 1e-12 until the run
-    # stops on the window, at 1e-14 through the dead state to the budget
+    # a window of 5 is full after the fifth accepted step, so rejections
+    # with a full window, after which the package skips the stop test,
+    # occur: at epsilon 1e-12 until the run stops on the window, at 1e-14
+    # until the first zero step
     p = lasso_c5(lasso_instance)
     cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=epsilon, seed=0,
                        window=5)
@@ -245,6 +273,68 @@ def test_guard_switches_to_full_batch_mid_run(check):
     assert sizes[0] < p.N and sizes[-1] == p.N
     if check == "full":
         assert sizes.index(p.N) == 6
+
+
+@st.composite
+def small_runs(draw, full_batch):
+    """A small least-squares or logistic problem, a regularizer, x0 = 0 and
+    an SR2 config at batch N (full_batch) or below it with the guard off."""
+    N = draw(st.integers(2, 24))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        p = make_least_squares(rng, N, n, draw(st.sampled_from([0.0, 0.1, 1.0])))
+    else:
+        p = make_logistic(rng, N, n)
+    lam = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    reg = draw(st.sampled_from([Zero(), L1(lam), L0(lam),
+                                L0Ball(draw(st.integers(0, n)))]))
+    if full_batch:
+        guard = draw(st.sampled_from([dict(), dict(assumption_check="full"),
+                                      dict(assumption_check="sampled-proxy")]))
+        if guard:
+            guard["kappa_m"] = draw(st.sampled_from([1e-6, 1e-2, 1.0]))
+        batch = N
+    else:
+        guard, batch = {}, draw(st.integers(1, N - 1))
+    cfg = SolverConfig(batch_size=batch,
+                       max_iter=draw(st.sampled_from([10, 300])),
+                       rho_mode=draw(st.sampled_from(["sampled", "full"])),
+                       sigma0=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+                       epsilon=draw(st.sampled_from([1e-8, 1e-4, 1e-1])),
+                       window=draw(st.sampled_from([1, 5, 25])),
+                       seed=draw(st.integers(0, 7)), **guard)
+    return p, reg, cfg
+
+
+def check_zero_step_stop(p, res):
+    """A zero_step stop is the run's first zero step and its last record;
+    a run that stops otherwise has none."""
+    zero = [i for i, r in enumerate(res.trace) if is_zero_step(p, vars(r))]
+    if res.stop_reason == "zero_step":
+        assert zero == [len(res.trace) - 1]
+    else:
+        assert zero == []
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(small_runs(full_batch=True))
+def test_full_batch_runs_stop_at_first_zero_step(run_args):
+    p, reg, cfg = run_args
+    res = assert_same_trace(p, reg, np.zeros(p.n), cfg)
+    event(res.stop_reason)
+    check_zero_step_stop(p, res)
+    assert all(np.isfinite(r.sigma_used) for r in res.trace)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(small_runs(full_batch=False))
+def test_minibatch_runs_never_stop_on_zero_step(run_args):
+    p, reg, cfg = run_args
+    res = assert_same_trace(p, reg, np.zeros(p.n), cfg)
+    event(res.stop_reason)
+    assert res.stop_reason in ("stationarity", "budget")
+    check_zero_step_stop(p, res)
 
 
 class Counting:
@@ -299,8 +389,8 @@ def test_full_batch_gradient_once_per_iterate(lasso_instance, index_checks):
     res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
     accepted = sum(r.accepted for r in res.trace)
     trials = sum(r.step_norm_sq > 0.0 for r in res.trace)
+    assert res.stop_reason == "zero_step"
     assert not res.trace[-1].accepted
-    assert len(res.trace) - accepted > 1000  # many rejections at one x
     # one forward pass (A x) at x0 and one per trial point x + s, which an
     # accepted step keeps for its gradient
     assert p.calls["full_forward"] == 1 + trials
@@ -327,7 +417,8 @@ def counted(monkeypatch, module, name):
 def test_full_batch_prox_once_per_iterate_and_sigma(lasso_instance,
                                                     monkeypatch):
     # at full batch the prox step depends on sigma alone while x is
-    # unchanged; in the dead state sigma stays inf and the step is reused
+    # unchanged; the run stops at its first zero step, before sigma could
+    # repeat at one x, so every step takes one prox step of its own
     calls = counted(monkeypatch, sr2, "shifted_prox")
     p = lasso_c5(lasso_instance)
     cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-6, seed=0)
@@ -336,7 +427,8 @@ def test_full_batch_prox_once_per_iterate_and_sigma(lasso_instance,
     for r in res.trace:
         pairs.add((iterate, r.sigma_used))
         iterate += r.accepted
-    assert calls["shifted_prox"] == len(pairs) < len(res.trace) - 1000
+    assert res.stop_reason == "zero_step"
+    assert calls["shifted_prox"] == len(pairs) == len(res.trace)
 
 
 @pytest.mark.parametrize("window", [25, 5])
@@ -348,7 +440,8 @@ def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
                        window=window)
     res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
     accepted = sum(r.accepted for r in res.trace)
-    assert calls["stationarity_estimate"] == accepted < len(res.trace) - 1000
+    assert res.stop_reason == "zero_step"
+    assert calls["stationarity_estimate"] == accepted < len(res.trace)
 
 
 @pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",

@@ -757,7 +757,7 @@ class TestFailingCell:
         errors = [r for r in summaries[0] if "error" in r]
         assert [r["cell"] for r in errors] == [
             f"proxgen_{reg}_s{seed}" for reg in ("l1_0.01", "l0_0.01")
-            for seed in (0, 1)]
+            for seed in (0, 1)] + ["proxsgd_l1_0.01_s0", "proxsgd_l1_0.01_s1"]
         assert all(r["error"].startswith("alpha must be positive and finite")
                    for r in errors)
         assert_same_outputs(*outs)
@@ -843,7 +843,8 @@ class TestReport:
         rows = json.loads(written)
         assert [r["cell"] for r in rows if "error" in r] == [
             "proxgen_l1_0.01_s0", "proxgen_l1_0.01_s1",
-            "proxgen_l0_0.01_s0", "proxgen_l0_0.01_s1"]
+            "proxgen_l0_0.01_s0", "proxgen_l0_0.01_s1",
+            "proxsgd_l1_0.01_s0", "proxsgd_l1_0.01_s1"]
         assert [(r["solver"], r["reg"]) for r in rows if r.get("skipped")] \
             == [("proxsgd", "l0_0.01")]
         assert {r["stop_reason"] for r in rows if "stop_reason" in r} \

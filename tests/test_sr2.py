@@ -174,11 +174,14 @@ class TestRun:
             run(p, L0Ball(1), np.array([1.0, 1.0]), SolverConfig())
 
     def test_budget_stop(self):
+        # at sigma0 = 2 each step halves x (sigma = 1 would land on the
+        # minimizer at once and stop on the zero step after it)
         p = quadratic_1d()
-        cfg = full_batch_cfg(max_iter=3, epsilon=1e-300)
+        cfg = full_batch_cfg(max_iter=3, epsilon=1e-300, sigma0=2.0)
         res = run(p, Zero(), np.array([5.0]), cfg)
         assert res.stop_reason == "budget"
         assert len(res.trace) == 3
+        np.testing.assert_array_equal(res.x, [0.625])
 
     def test_counters_sum_to_t(self):
         rng = np.random.default_rng(1)
@@ -287,6 +290,24 @@ class TestRun:
         for r in rejected:
             assert r.step_norm_sq == 0.0
             assert not r.accepted
+
+    def test_guard_case_stops_on_zero_step(self):
+        # a kappa_m far below the model error: the guard rejects every
+        # step and doubles the batch up to N, sigma grows by gamma1 each
+        # time until ||s||^2 underflows to 0, and the run stops there
+        p = make_least_squares(np.random.default_rng(0), 300, 20, 0.1)
+        cfg = SolverConfig(batch_size=16, max_iter=3000, seed=0,
+                           assumption_check="full", kappa_m=1e-9)
+        res = run(p, L1(0.05), np.zeros(20), cfg)
+        assert res.stop_reason == "zero_step"
+        assert len(res.trace) <= 300
+        assert all(np.isfinite(r.sigma_used) for r in res.trace)
+        assert not any(r.accepted for r in res.trace)
+        *rejected, last = res.trace
+        assert all(r.assumption_rejected for r in rejected)
+        assert not last.assumption_rejected
+        assert last.step_norm_sq == 0.0 and last.batch_size == p.N
+        np.testing.assert_array_equal(res.x, 0.0)
 
     def test_kappa_auto_requires_l_bound(self):
         p = quadratic_1d()
