@@ -21,8 +21,8 @@ res = run(p, L1(0.05), np.zeros(p.n), cfg)
 print(f"stopped after {len(res.trace)} iterations ({res.stop_reason})")
 print(f"final objective {res.trace[-1].F_sampled_after:.6f}")
 print(f"nonzeros {res.trace[-1].nnz} of {p.n}")
-print(f"accepted {res.state.successes + res.state.very_successes}, "
-      f"rejected {res.state.failures}")
+accepted = sum(rec.accepted for rec in res.trace)
+print(f"accepted {accepted}, rejected {len(res.trace) - accepted}")
 
 # sigma wanders: down while steps keep paying off, up on rejections
 print("\n  t   sigma       rho       accepted")

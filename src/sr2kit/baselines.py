@@ -109,7 +109,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     at_new = _Point(x_new, p.n)
     s = x_new - x
     F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
-    state.x, state.point = at_new.x, at_new
+    state.point = at_new
     state.t += 1
     state.sigma = 1.0 / cfg.step_size(state.t + 1)
     return IterationRecord(

@@ -55,6 +55,18 @@ def _jobs(text):
     return jobs
 
 
+def _alpha(text):
+    """--alpha: a positive finite number."""
+    try:
+        alpha = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < alpha < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return alpha
+
+
 def _cmd_prune(args):
     x = harness.load_model(args.model)
     if args.out:
@@ -99,8 +111,8 @@ def main(argv=None):
 
     p_prune = sub.add_parser("prune", help="magnitude-prune a saved model")
     p_prune.add_argument("--model", required=True, help="model file")
-    p_prune.add_argument("--alpha", type=float, nargs="+", required=True,
-                         help="pruning threshold(s)")
+    p_prune.add_argument("--alpha", type=_alpha, nargs="+", required=True,
+                         help="pruning threshold(s), each positive")
     p_prune.add_argument("--out", default=None,
                          help="directory for pruned model files")
     p_prune.set_defaults(func=_cmd_prune)

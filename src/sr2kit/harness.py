@@ -148,6 +148,14 @@ def _kind(where, section, table):
     return table[kind]
 
 
+def _check_low(where, section, bounds):
+    """A ParseError unless every key of the (key, low) pairs in bounds
+    that section sets, to a value other than None, is at least low."""
+    for key, low in bounds:
+        if section.get(key) is not None and section[key] < low:
+            raise ParseError(f"{where}.{key} must be >= {low}, got {section[key]}")
+
+
 def _regularizer(where, entry):
     cls = _kind(where, entry, _REGULARIZERS)
     hints = typing.get_type_hints(cls)
@@ -181,6 +189,11 @@ def parse_config(path):
                 for key, v in keys.items()}
     prob = {**defaults, **_read_keys("problem", raw["problem"],
                                      {"kind": str, **hints}, required)}
+    _check_low("problem", prob, (("N", 1), ("n", 1), ("hidden", 1),
+                                 ("gen_seed", 0), ("support_size", 0)))
+    if prob.get("support_size", 0) > prob.get("n", 0):
+        raise ParseError(f"problem.support_size must be <= n = {prob['n']}, "
+                         f"got {prob['support_size']}")
 
     entries = raw.get("regularizers")
     if entries is None:
@@ -210,9 +223,7 @@ def parse_config(path):
                                 {key: hints[key] for key in _RUN})}
     if not run["seeds"]:
         raise ParseError("run.seeds must be nonempty")
-    for key, low in (("batch_size", 1), ("max_iter", 0), ("epochs", 0)):
-        if run[key] is not None and run[key] < low:
-            raise ParseError(f"run.{key} must be >= {low}, got {run[key]}")
+    _check_low("run", run, (("batch_size", 1), ("max_iter", 0), ("epochs", 0)))
     if run["max_iter"] is not None and run["epochs"] is not None:
         raise ParseError("run takes max_iter or epochs, not both")
 
@@ -267,7 +278,10 @@ def build_problem(spec):
 
 def _load_dataset(prob):
     load = problems.load_libsvm if prob["format"] == "libsvm" else problems.load_csv
-    return load(prob["data"])
+    try:
+        return load(prob["data"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read data {prob['data']}: {exc}") from None
 
 
 def _reg_tag(reg):
@@ -316,6 +330,8 @@ def load_model(path):
             raise ParseError(f"expected a parameter count, got {header!r}",
                              line=1)
         n = int(header)
+        if n == 0:
+            raise ParseError("model has no parameters", line=1)
         vals = [problems._parse_float(line.strip(), lineno)
                 for lineno, line in enumerate(fh, start=2) if line.strip()]
     if len(vals) != n:
@@ -458,13 +474,13 @@ def plan_cells(spec):
 def run_experiments(spec, out_dir, jobs=1, config_path=None):
     """Execute the full experiment matrix; returns the summary row list.
 
-    Per-cell failures are recorded in the summary without aborting the
-    other cells.
+    A cell that fails gets an error row in the summary and does not stop
+    the other cells.
     """
+    p = build_problem(spec)  # a data file that cannot be read writes nothing
     os.makedirs(out_dir, exist_ok=True)
     if config_path is not None:
         _copy_config(config_path, out_dir, spec.seeds)
-    p = build_problem(spec)
     spec = _resolve_alpha(spec, p)
     cells = [(*cell, out_dir) for cell in plan_cells(spec)]
     if jobs > 1:

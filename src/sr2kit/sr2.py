@@ -110,10 +110,10 @@ class SolverConfig:
 class _Point:
     """A point, checked as it is made, with the values at it that do not
     depend on the sample: R(x) and the full-batch forward pass, f(x) and
-    gradient, each computed on first use.  SolverState keeps the iterate's
-    _Point while state.x is that same array, so rejected steps reuse them;
-    an accepted step replaces state.x (it is never written in place) and
-    with it the _Point."""
+    gradient, each computed on first use.  SolverState holds the iterate
+    only as its _Point, so rejected steps reuse these values; an accepted
+    step replaces the _Point with the trial point's (no x is written in
+    place)."""
 
     __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
@@ -152,17 +152,20 @@ class _Point:
 
 @dataclass
 class SolverState:
-    x: np.ndarray
+    """What a run carries from one step to the next.  The iterate is held
+    once, as its _Point (state.x reads it and cannot be set); the counts of
+    accepted and rejected steps are those of the trace."""
+
+    point: _Point
     sigma: float
     t: int
     rng: np.random.Generator
-    batch_size: int
+    batch_size: int             # at most N
     window: deque = field(default_factory=deque)
-    successes: int = 0
-    very_successes: int = 0
-    failures: int = 0
-    assumption_rejections: int = 0
-    point: _Point | None = None  # cached values at x, see _Point
+
+    @property
+    def x(self):
+        return self.point.x
 
 
 @dataclass
@@ -193,7 +196,7 @@ class RunResult:
 def update_sigma(sigma, rho, cfg):
     """Three-branch regularization update (point representatives of the
     interval rule): shrink by gamma3 on very successful steps, hold on
-    merely successful ones, inflate by gamma1 on failures."""
+    merely successful ones, inflate by gamma1 on rejected ones."""
     if rho >= cfg.eta2:
         return max(cfg.sigma_min, cfg.gamma3 * sigma)
     if rho >= cfg.eta1:
@@ -212,10 +215,9 @@ def sigma_succ_bound(kappa_m, eta2):
     return 2.0 * kappa_m / (1.0 - eta2)
 
 
-def stationarity_estimate(state):
-    """Sliding-window mean of accepted squared step norms, or None while
-    the window has not yet filled."""
-    w = state.window
+def stationarity_estimate(w):
+    """Mean of the window w of accepted squared step norms, or None while
+    it has not yet filled."""
     if len(w) < w.maxlen:
         return None
     # np.mean is this add-reduce followed by the same division, so the
@@ -237,13 +239,9 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     """One SR2 iteration; mutates state and returns the IterationRecord."""
     t0 = time.perf_counter()
     at_x = state.point
-    if at_x is None or at_x.x is not state.x:
-        # an iterate set from outside the run loop
-        at_x = state.point = _Point(state.x, p.n)
-        state.x = at_x.x
-    x = state.x
+    x = at_x.x
     sigma = state.sigma
-    batch = min(state.batch_size, p.N)
+    batch = state.batch_size
     r_x = at_x.reg_value(reg)
     if batch == p.N:
         # the sample is {0..N-1}: no draw, and f and g at an unchanged x
@@ -277,6 +275,10 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             step_norm_sq = 0.0
             state.batch_size = min(2 * state.batch_size, p.N)
 
+    F_full = None
+    if cfg.rho_mode == "full" or cfg.record_full_objective:
+        F_full = at_x.full_value(p) + r_x
+
     if assumption_rejected or step_norm_sq == 0.0:
         rho = 0.0
         accepted = False
@@ -288,9 +290,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         F_after = f_after + step.reg_at_target
         delta_psi = step.model_decrease
         if cfg.rho_mode == "full":
-            delta_F = (at_x.full_value(p) + r_x) - (
-                trial.full_value(p) + step.reg_at_target
-            )
+            delta_F = F_full - (trial.full_value(p) + step.reg_at_target)
         else:
             delta_F = F_before - F_after
         if not math.isfinite(delta_F):
@@ -305,24 +305,9 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             rho = delta_F / delta_psi
         accepted = rho >= cfg.eta1
 
-    F_full = None
-    if cfg.rho_mode == "full" or cfg.record_full_objective:
-        F_full = at_x.full_value(p) + r_x
-
     if accepted:
-        state.x = trial.x
         state.point = trial
         state.window.append(step_norm_sq)
-        if rho >= cfg.eta2:
-            state.very_successes += 1
-        else:
-            state.successes += 1
-    else:
-        if assumption_rejected:
-            state.assumption_rejections += 1
-        else:
-            state.failures += 1
-
     state.sigma = update_sigma(sigma, rho, cfg)
     state.t += 1
 
@@ -354,13 +339,12 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
     state = SolverState(
-        x=at_x0.x,
+        point=at_x0,
         sigma=sigma,
         t=0,
         rng=np.random.default_rng(cfg.seed),
         batch_size=min(cfg.batch_size, p.N),
         window=deque(maxlen=window),
-        point=at_x0,
     )
     trace = []
     stop_reason = "budget"
@@ -375,7 +359,7 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
                 stop_reason = "zero_step"
                 break
             continue
-        est = stationarity_estimate(state)
+        est = stationarity_estimate(state.window)
         if est is not None and est <= epsilon**2:
             stop_reason = "stationarity"
             break

@@ -236,6 +236,46 @@ class TestParseConfig:
         assert err.startswith("sr2kit: cannot read config")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("problem,match", [
+        ("kind: least_squares\n  N: 0\n  n: 8\n", "problem.N must be >= 1"),
+        ("kind: logistic\n  N: 40\n  n: 0\n", "problem.n must be >= 1"),
+        ("kind: mlp\n  data: d.csv\n  hidden: 0\n",
+         "problem.hidden must be >= 1"),
+        ("kind: least_squares\n  N: 40\n  n: 8\n  gen_seed: -1\n",
+         "problem.gen_seed must be >= 0"),
+        ("kind: sparse_recovery\n  N: 40\n  n: 8\n  support_size: 9\n",
+         "problem.support_size must be <= n = 8, got 9"),
+        ("kind: sparse_recovery\n  N: 40\n  n: 8\n  support_size: -1\n",
+         "problem.support_size must be >= 0"),
+    ], ids=["N", "n", "hidden", "gen_seed", "support_size_above_n",
+            "support_size_negative"])
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry", "run"])
+    def test_problem_value_out_of_range_exits_2_before_any_output(
+            self, tmp_path, capsys, problem, match, dry_run):
+        cfg_path = write_config(tmp_path, f"problem:\n  {problem}")
+        with pytest.raises(ParseError, match=match):
+            harness.parse_config(cfg_path)
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir)]
+                        + ["--dry-run"] * dry_run) == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sr2kit: problem.") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["data_logistic", "mlp"])
+    def test_unreadable_data_file_exits_2_before_any_output(
+            self, tmp_path, capsys, kind):
+        data = tmp_path / "missing.csv"
+        cfg_path = write_config(tmp_path,
+                                f"problem:\n  kind: {kind}\n  data: {data}\n")
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path,
+                         "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"sr2kit: cannot read data {data}: ")
+        assert err.count("\n") == 1
+
     def test_values_read_by_type(self, tmp_path):
         cfg = (BASIC_CONFIG.replace("lam: 0.05", "lam: 1e-4")
                .replace("sr2: {}", "sr2: {kappa_m: 1, sigma0: 2}"))
@@ -659,6 +699,30 @@ class TestCli:
         assert cli.main(["prune", "--model", str(model),
                          "--alpha", "1e-3"]) == 2
         assert capsys.readouterr().err == f"sr2kit: {error}\n"
+
+    def test_prune_of_model_without_parameters_exits_2(self, tmp_path,
+                                                       capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("0\n")
+        assert cli.main(["prune", "--model", str(model),
+                         "--alpha", "1e-3"]) == 2
+        assert capsys.readouterr().err == \
+            "sr2kit: line 1: model has no parameters\n"
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf", "x"])
+    def test_prune_alpha_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                     alpha):
+        model = tmp_path / "m.txt"
+        harness.save_model(model, np.array([0.5, 1e-4]))
+        out = tmp_path / "pruned"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prune", "--model", str(model), "--alpha", "1e-3",
+                      alpha, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "sr2kit prune: error: argument --alpha: ")
+        assert not out.exists()
 
     def test_prune_writes_one_file_per_threshold(self, tmp_path, capsys):
         # thresholds with the same leading digit get files of their own,
