@@ -7,7 +7,8 @@ fixed, and the step size follows the configured schedule.  Each step
 draws one sample (Problem.draw: one gather, no check of the drawn
 indices) and gets f(x) and the gradient on it from one forward pass; the
 trace's f(x') is evaluated on that same sample.  x is not checked by the
-steps: each point's _Point checks it as it is made (x0, then each x').
+steps: each point is checked once, as its _Point is made: x0 in full,
+each x' by the step norm ||x' - x||^2 that the trace records.
 
 run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
 which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
@@ -62,13 +63,6 @@ class BaselineConfig:
         return self.alpha
 
 
-def _draw(p, x, rng, batch):
-    """A fresh sample, with f(x) and the gradient on it; x is a checked
-    point."""
-    sample = p.draw(rng, batch)
-    return sample, *sample._value_and_grad(x)
-
-
 def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
     """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
 
@@ -77,7 +71,8 @@ def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
     step and (sample, f(x) on the sample)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sample, f, g = _draw(p, x, rng, batch)
+    sample = p.draw(rng, batch)
+    f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0 / alpha, r_x)
     return x + step.s, step, (sample, f)
 
@@ -92,7 +87,8 @@ def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
         )
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    sample, f, g = _draw(p, x, rng, batch)
+    sample = p.draw(rng, batch)
+    f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0, r_x)
     return x + alpha * step.s, step, (sample, f)
 
@@ -106,8 +102,9 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     r_x = at_x.reg_value(reg)
     x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
                                        state.batch_size, r_x)
-    at_new = _Point(x_new, p.n)
     s = x_new - x
+    step_norm_sq = float(s.dot(s))
+    at_new = _Point.stepped(x_new, p.n, step_norm_sq)
     F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
     state.point = at_new
     state.t += 1
@@ -116,7 +113,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
         t=state.t,
         sigma_used=1.0 / alpha,
         rho=float("nan"),
-        step_norm_sq=float(s @ s),
+        step_norm_sq=step_norm_sq,
         accepted=True,
         F_sampled_before=f + r_x,
         F_sampled_after=at_new.value_on(p, sample) + at_new.reg_value(reg),

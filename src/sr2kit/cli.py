@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -115,6 +116,8 @@ def main(argv=None):
                          help="pruning threshold(s), each positive")
     p_prune.add_argument("--out", default=None,
                          help="directory for pruned model files")
+    # read -1e-3, -inf and the like as values (argparse alone: as options)
+    p_prune._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.I)
     p_prune.set_defaults(func=_cmd_prune)
 
     p_report = sub.add_parser(

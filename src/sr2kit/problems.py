@@ -7,8 +7,9 @@ never does).  Summation is always in ascending index order so
 full-batch evaluation is bitwise reproducible.
 
 Evaluation has one path.  Problem.sample(idx) checks the index set once
-and gathers its rows once; the Sample's value and gradient at x both come
-from one forward pass (the residual, the margin, or the network's hidden
+and gathers its rows once (A.take, the bytes of A[idx] for less
+overhead); the Sample's value and gradient at x both come from one
+forward pass (the residual, minus the margin, or the network's hidden
 layer and output), and every public evaluation checks x.  sample(ALL) is
 the whole data set, read in place with no copy; the stored data is
 C-ordered, so it gives bitwise the same numbers as the index set
@@ -18,8 +19,8 @@ are thin checked wrappers over this path.
 The solvers take a cheaper way through it.  Problem.draw(rng, batch)
 gathers the rows of draw_sample's indices without checking them again
 (they are sorted, unique and in range by construction), and the solvers
-check each point once, when they make it, then evaluate it with the
-unchecked Sample._forward.
+check each point once, when they make it (a step's new point by its step
+norm), then evaluate it with the unchecked Sample._forward.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ class Problem:
         self.name = name
 
     def _rows(self, idx):
-        return self.A[idx], self.y[idx]
+        if idx is ALL:
+            return self.A, self.y
+        return self.A.take(idx, axis=0), self.y[idx]
 
     def _forward(self, x, rows):
         raise NotImplementedError
@@ -255,15 +258,15 @@ class Logistic(Problem):
 
     def _forward(self, x, rows):
         Ai, yi = rows
-        return yi * (Ai @ x)  # margin
+        return -(yi * (Ai @ x))  # minus the margin m, which loss and grad read
 
-    def _loss(self, m, rows):
-        return np.logaddexp(0.0, -m)
+    def _loss(self, z, rows):
+        return np.logaddexp(0.0, z)
 
-    def _backward(self, m, rows):
+    def _backward(self, z, rows):
         Ai, yi = rows
-        # d/dm log(1+e^-m) = -sigmoid(-m)
-        coef = -yi * _sigmoid(-m)
+        # d/dm log(1+e^-m) = -sigmoid(-m) = -sigmoid(z)
+        coef = -yi * _sigmoid(z)
         return (Ai.T @ coef) / Ai.shape[0]
 
     def margins(self, x):
@@ -389,7 +392,9 @@ def draw_sample(rng, N, batch):
     returned in ascending order."""
     if not 1 <= batch <= N:
         raise ValueError(f"batch must be in [1, {N}], got {batch}")
-    return np.sort(rng.choice(N, size=batch, replace=False))
+    idx = rng.choice(N, size=batch, replace=False)
+    idx.sort()
+    return idx
 
 
 def _gaussian_matrix(rng, N, n):

@@ -11,9 +11,9 @@ rows, whose drawn indices are not checked again); f(x) and the gradient
 on it come from one forward pass, and f(x + s) on the same sample costs
 one more forward pass.
 
-Each point is checked once, when it is made: its _Point checks it (x0
-in _drive, each trial point x + s in sr2_step).  No evaluation at a point
-checks it again.
+Each point is checked once, when it is made: x0 in full in _drive, each
+trial point x + s by its step norm (_Point.stepped: x is finite, so a
+finite ||s||^2 shows x + s finite).  No evaluation checks it again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
 no sample is drawn and the RNG is left untouched; the data set is read in
@@ -27,17 +27,16 @@ once per iterate in every mode.
 
 Stopping uses a sliding-window mean of accepted squared step norms as an
 estimator of the expected squared step length; the run stops once the
-window is full and the mean falls below epsilon^2.  A full-batch run also
+window is full and the mean falls below epsilon^2.  The mean is not taken
+when the newest entry over the window length is above epsilon^2: a float
+sum of nonnegative terms is at least each term.  A full-batch run also
 stops, on "zero_step", at its first zero step that the guard did not
 make: only sigma changes after it, and in exact arithmetic ||s|| does not
 grow with sigma, so every later step is zero too (R2's sigma ||s|| is
 already 0).
 
 One run loop, _drive, serves SR2 and both baselines: it checks x0 and
-then that R(x0) is finite, builds the SolverState, calls the solver's
-own step (for run, sr2_step) up to max_iter times, tests the window after
-each accepted step (a rejection leaves the window and its mean as they
-were), stops at a full-batch zero step and returns the RunResult.
+R(x0), then calls the solver's own step (for run, sr2_step) until it stops.
 """
 
 from __future__ import annotations
@@ -108,18 +107,30 @@ class SolverConfig:
 
 
 class _Point:
-    """A point, checked as it is made, with the values at it that do not
-    depend on the sample: R(x) and the full-batch forward pass, f(x) and
-    gradient, each computed on first use.  SolverState holds the iterate
-    only as its _Point, so rejected steps reuse these values; an accepted
-    step replaces the _Point with the trial point's (no x is written in
-    place)."""
+    """A point, checked as it is made (in full, or by its step norm: see
+    stepped), with the values at it that do not depend on the sample: R(x)
+    and the full-batch forward pass, f(x) and gradient, each computed on
+    first use.  SolverState holds the iterate only as its _Point, so
+    rejected steps reuse these values; an accepted step replaces the
+    _Point with the trial point's (no x is written in place)."""
 
     __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
     def __init__(self, x, n):
         self.x = _check_point(x, n)
         self._r = self._fwd = self._f = self._g = None
+
+    @classmethod
+    def stepped(cls, x, n, step_norm_sq):
+        """The point x a step makes from its iterate x_k, checked by its
+        step_norm_sq = ||x - x_k||^2 (x_k,i + s_i overflows only if s_i^2
+        does): only a NaN or inf norm needs the full check."""
+        if not step_norm_sq < math.inf:
+            return cls(x, n)
+        point = cls.__new__(cls)
+        point.x = x
+        point._r = point._fwd = point._f = point._g = None
+        return point
 
     def reg_value(self, reg):
         if self._r is None:
@@ -255,9 +266,10 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x
     s = step.s
-    step_norm_sq = float(s @ s)
-    # the trial point is checked as it is made (a NaN norm included)
-    trial = _Point(x + s, p.n) if step_norm_sq != 0.0 else None
+    step_norm_sq = float(s.dot(s))
+    # the trial point is checked as it is made, by its norm
+    trial = (_Point.stepped(x + s, p.n, step_norm_sq)
+             if step_norm_sq != 0.0 else None)
     f_after = None  # f(x + s) on this step's sample
 
     assumption_rejected = False
@@ -269,7 +281,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         else:  # sampled-proxy: same-batch sampled objective
             f_ref0 = f_before
             f_ref1 = f_after = trial.value_on(p, sample)
-        if abs(f_ref1 - f_ref0 - float(g @ s)) > kappa * step_norm_sq:
+        if abs(f_ref1 - f_ref0 - float(g.dot(s))) > kappa * step_norm_sq:
             assumption_rejected = True
             s = np.zeros_like(s)
             step_norm_sq = 0.0
@@ -358,6 +370,9 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
                     and not record.assumption_rejected):
                 stop_reason = "zero_step"
                 break
+            continue
+        # mean >= newest / window: a float sum is at least each nonnegative term
+        if record.step_norm_sq / window > epsilon**2:
             continue
         est = stationarity_estimate(state.window)
         if est is not None and est <= epsilon**2:

@@ -450,14 +450,33 @@ def test_full_batch_prox_once_per_iterate_and_sigma(lasso_instance,
 @pytest.mark.parametrize("window", [25, 5])
 def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
                                               window):
-    calls = counted(monkeypatch, sr2, "stationarity_estimate")
+    # the window mean is taken at most once per accepted step and never
+    # after a rejected one (nor after a step whose newest entry alone keeps
+    # it above epsilon^2), and the run stops where the reference, which
+    # takes it after every step, stops
+    events = []
+    step, estimate = sr2.sr2_step, sr2.stationarity_estimate
+
+    def logged_step(*args):
+        record = step(*args)
+        events.append("accepted" if record.accepted else "rejected")
+        return record
+
+    def logged_estimate(w):
+        events.append("estimate")
+        return estimate(w)
+
+    monkeypatch.setattr(sr2, "sr2_step", logged_step)
+    monkeypatch.setattr(sr2, "stationarity_estimate", logged_estimate)
     p = lasso_c5(lasso_instance)
     cfg = SolverConfig(batch_size=p.N, max_iter=2000, epsilon=1e-14, seed=0,
                        window=window)
-    res = run(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
-    accepted = sum(r.accepted for r in res.trace)
+    res = assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
     assert res.stop_reason == "zero_step"
-    assert calls["stationarity_estimate"] == accepted < len(res.trace)
+    assert len(events) - events.count("estimate") == len(res.trace)
+    assert all(before == "accepted"
+               for before, event in zip(events, events[1:])
+               if event == "estimate")
 
 
 @pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",

@@ -724,6 +724,22 @@ class TestCli:
             "sr2kit prune: error: argument --alpha: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas", [["-1e-3"], ["-inf"], ["1e-3", "-inf"]],
+                             ids=["negative_exponent", "minus_inf",
+                                  "minus_inf_after_a_threshold"])
+    def test_prune_dash_led_alpha_gets_the_range_message(self, tmp_path, capsys,
+                                                         alphas):
+        # argparse alone reads these as options ("expected at least one
+        # argument", "unrecognized arguments"), not as --alpha values
+        model = tmp_path / "m.txt"
+        harness.save_model(model, np.array([0.5, 1e-4]))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prune", "--model", str(model), "--alpha", *alphas])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "sr2kit prune: error: argument --alpha: must be positive and "
+            f"finite, got {alphas[-1]}")
+
     def test_prune_writes_one_file_per_threshold(self, tmp_path, capsys):
         # thresholds with the same leading digit get files of their own,
         # each named by the shortest form that reads back as it; --out is

@@ -2,10 +2,16 @@
 
 import ast
 import dataclasses
+import math
+import re
+from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sr2kit
 from sr2kit import baselines, harness, problems, sr2
@@ -13,7 +19,7 @@ from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import InfeasibleAnchorError
 from sr2kit.problems import make_least_squares, make_logistic
 from sr2kit.regularizers import L1, L0Ball, Zero
-from sr2kit.sr2 import SolverConfig, run
+from sr2kit.sr2 import SolverConfig, run, stationarity_estimate
 
 SOLVERS = [
     pytest.param(run, SolverConfig, {}, id="sr2"),
@@ -122,17 +128,36 @@ def test_regularizer_evaluations_per_step(monkeypatch, solver, config_class,
 
 @pytest.fixture
 def point_checks(monkeypatch):
-    """Counts the point checks, under every name the package calls them."""
+    """Records each point check in order: "full" for a _check_point pass,
+    under every name the package calls it; for each point that a step
+    makes, "norm" when its finite step norm checks it, or "fallback" when
+    the norm is not finite and the full check follows."""
     calls = []
     check = problems._check_point
+    stepped = sr2._Point.stepped.__func__
 
-    def counted(x, n):
-        calls.append(1)
+    def counted_check(x, n):
+        calls.append("full")
         return check(x, n)
 
+    def counted_stepped(cls, x, n, step_norm_sq):
+        calls.append("norm" if math.isfinite(step_norm_sq) else "fallback")
+        return stepped(cls, x, n, step_norm_sq)
+
     for module in (problems, sr2):
-        monkeypatch.setattr(module, "_check_point", counted)
+        monkeypatch.setattr(module, "_check_point", counted_check)
+    monkeypatch.setattr(sr2._Point, "stepped", classmethod(counted_stepped))
     return calls
+
+
+def assert_each_point_checked_once(calls, made):
+    """x0 by the full check in the run loop, then each of the made new
+    points once, as it is made: by its step norm, or by the full check
+    right after the fallback."""
+    code = "".join({"full": "F", "norm": "N", "fallback": "B"}[c]
+                   for c in calls)
+    assert re.fullmatch(r"F(N|BF)*", code), code
+    assert code.count("N") + code.count("B") == made
 
 
 @pytest.mark.parametrize("options", [
@@ -150,7 +175,7 @@ def test_sr2_checks_each_point_once(point_checks, options):
     trials = sum(r.step_norm_sq > 0.0 or r.assumption_rejected
                  for r in res.trace)
     assert 0 < trials and any(r.accepted for r in res.trace)
-    assert len(point_checks) == 1 + trials
+    assert_each_point_checked_once(point_checks, trials)
 
 
 @pytest.mark.parametrize("solver", [run_proxgen, run_proxsgd])
@@ -161,7 +186,97 @@ def test_baseline_checks_each_point_once(point_checks, solver, record):
     cfg = BaselineConfig(alpha=0.5, batch_size=32, max_iter=50, seed=3,
                          record_full_objective=record)
     solver(p, L1(1e-4), np.zeros(p.n), cfg)
-    assert len(point_checks) == 1 + 50
+    assert_each_point_checked_once(point_checks, 50)
+
+
+@pytest.mark.parametrize("solver,config_class,options", SOLVERS)
+def test_point_whose_step_norm_overflows_is_made(
+        problem, monkeypatch, point_checks, solver, config_class, options):
+    # every entry of the first step is 1e200 (or half that for ProxSGD):
+    # finite, but its square overflows, so ||s||^2 is inf and the new
+    # point, finite, gets the full check and passes it
+    monkeypatch.setattr(Zero, "prox_target",
+                        lambda self, u, sigma: np.full_like(u, 1e200))
+    with np.errstate(over="ignore"):
+        res = solver(problem, Zero(), np.zeros(problem.n),
+                     config(config_class, options, max_iter=3))
+    assert res.trace[0].step_norm_sq == np.inf
+    assert point_checks[:3] == ["full", "fallback", "full"]
+    assert_each_point_checked_once(point_checks, 3)
+    assert np.isfinite(res.x).all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver,config_class,options", SOLVERS)
+def test_non_finite_new_point_raises(problem, monkeypatch, point_checks,
+                                     solver, config_class, options, value):
+    # ||s||^2 is NaN or inf, so the new point gets the full check, which
+    # it fails
+    monkeypatch.setattr(Zero, "prox_target",
+                        lambda self, u, sigma: np.full_like(u, value))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite point"):
+        solver(problem, Zero(), np.zeros(problem.n),
+               config(config_class, options, max_iter=3))
+    assert point_checks == ["full", "fallback", "full"]
+
+
+@st.composite
+def window_runs(draw):
+    """epsilon, a window length and a strategy for window entries: any
+    nonnegative float up to 1e150 (subnormals included), or one within a
+    few window lengths of epsilon^2, where the mean can fall either way."""
+    epsilon = draw(st.floats(1e-160, 1e150))
+    length = draw(st.integers(1, 30))
+    near = st.floats(0.0, 3.0 * length).map(lambda c: c * epsilon**2)
+    return epsilon, length, st.one_of(st.floats(0.0, 1e150), near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_runs(), st.data())
+def test_skipped_window_mean_is_above_epsilon_squared(args, data):
+    # the run loop does not take the mean after a step whose entry over
+    # the window length is above epsilon^2: then the mean is too
+    epsilon, length, entries = args
+    window = deque(data.draw(st.lists(entries, min_size=length,
+                                      max_size=length)), maxlen=length)
+    if window[-1] / length > epsilon**2:
+        assert stationarity_estimate(window) > epsilon**2
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_runs(), st.data())
+def test_drive_stops_where_the_mean_after_every_accepted_step_stops(args,
+                                                                     data):
+    # a stand-in step appends its entry to the window when it is accepted,
+    # as sr2_step does; the reference takes the mean after every accepted
+    # step
+    epsilon, length, entries = args
+    steps = data.draw(st.lists(st.tuples(st.booleans(), entries),
+                               min_size=1, max_size=60))
+    stop, reason = len(steps), "budget"
+    window = deque(maxlen=length)
+    for k, (accepted, entry) in enumerate(steps, start=1):
+        if accepted:
+            window.append(entry)
+            est = stationarity_estimate(window)
+            if est is not None and est <= epsilon**2:
+                stop, reason = k, "stationarity"
+                break
+    taken = iter(steps)
+
+    def step(p, reg, state, cfg):
+        accepted, entry = next(taken)
+        if accepted:
+            state.window.append(entry)
+        state.t += 1
+        return SimpleNamespace(accepted=accepted, step_norm_sq=entry,
+                               batch_size=1, assumption_rejected=False)
+
+    p = SimpleNamespace(n=1, N=2)  # batch 1 < N: no zero-step stop
+    cfg = SolverConfig(batch_size=1, max_iter=len(steps))
+    res = sr2._drive(p, Zero(), np.zeros(1), cfg, step, 1.0, length, epsilon)
+    assert (len(res.trace), res.stop_reason) == (stop, reason)
 
 
 def test_nan_step_raises_value_error(problem, monkeypatch):
