@@ -4,11 +4,13 @@ preconditioning disabled (identity metric, v_t = g_t).
 
 Neither method tests step quality: every step is taken, the batch size is
 fixed, and the step size follows the configured schedule.  Each step
-draws one sample (Problem.draw: one gather, no check of the drawn
-indices) and gets f(x) and the gradient on it from one forward pass; the
-trace's f(x') is evaluated on that same sample.  x is not checked by the
-steps: each point is checked once, as its _Point is made: x0 in full,
-each x' by the step norm ||x' - x||^2 that the trace records.
+draws one sample from the run's Sampler (Problem.draw: random
+reshuffling as in SR2, one gather, no check of the drawn indices; a batch
+of N is the whole data set and draws nothing from the RNG) and gets f(x)
+and the gradient on it from one forward pass; the trace's f(x') is
+evaluated on that same sample.  x is not checked by the steps: each point
+is checked once, as its _Point is made: x0 in full, each x' by the step
+norm ||x' - x||^2 that the trace records.
 
 run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
 which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
@@ -63,21 +65,22 @@ class BaselineConfig:
         return self.alpha
 
 
-def proxgen_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
+def proxgen_step(p, reg: Regularizer, x, alpha, sampler, batch, r_x=None):
     """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
 
-    x is a finite point of shape (n,), which is not checked here.  r_x is
-    R(x) if the caller holds it (see shifted_prox).  Returns x', the prox
-    step and (sample, f(x) on the sample)."""
+    x is a finite point of shape (n,), which is not checked here.  The
+    sample is the next batch of sampler (a problems.Sampler).  r_x is R(x)
+    if the caller holds it (see shifted_prox).  Returns x', the prox step
+    and (sample, f(x) on the sample)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sample = p.draw(rng, batch)
+    sample = p.draw(sampler, batch)
     f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0 / alpha, r_x)
     return x + step.s, step, (sample, f)
 
 
-def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
+def proxsgd_step(p, reg: Regularizer, x, alpha, sampler, batch, r_x=None):
     """Unit-quadratic subproblem followed by interpolation:
     s = argmin_s g^T s + (1/2)||s||^2 + R(x+s);  x' = x + alpha * s.
     Only defined for convex regularizers.  Returns as proxgen_step."""
@@ -87,7 +90,7 @@ def proxsgd_step(p, reg: Regularizer, x, alpha, rng, batch, r_x=None):
         )
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    sample = p.draw(rng, batch)
+    sample = p.draw(sampler, batch)
     f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0, r_x)
     return x + alpha * step.s, step, (sample, f)
@@ -100,7 +103,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     x, at_x = state.x, state.point
     alpha = cfg.step_size(state.t + 1)
     r_x = at_x.reg_value(reg)
-    x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.rng,
+    x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.sampler,
                                        state.batch_size, r_x)
     s = x_new - x
     step_norm_sq = float(s.dot(s))

@@ -15,6 +15,7 @@ __all__ = [
     "prune",
     "sparsity_report",
     "accuracy",
+    "accuracy_of_margins",
     "stationarity_surrogate",
     "DEFAULT_PRUNE_THRESHOLDS",
 ]
@@ -67,9 +68,14 @@ def accuracy(p, x):
     sign(0) counts as +1."""
     if p.labels is None:
         raise UnsupportedMetricError(f"{p.name} is not a classification problem")
-    scores = p.margins(x)
-    pred = np.where(scores >= 0.0, 1.0, -1.0)
-    return 100.0 * float(np.mean(pred == p.labels))
+    return accuracy_of_margins(p.margins(x), p.labels)
+
+
+def accuracy_of_margins(margins, labels):
+    """accuracy from the margins and +/-1 labels: an exact count of matches
+    over N, so the bits of np.mean(pred == labels)."""
+    return 100.0 * (np.count_nonzero((margins >= 0.0) == (labels > 0.0))
+                    / labels.size)
 
 
 def stationarity_surrogate(p, x, g, s, sigma):

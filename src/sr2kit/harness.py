@@ -360,8 +360,10 @@ def _resolve_alpha(spec, p):
 def _run_cell(spec, p, solver, reg, seed):
     """Run one cell.  Its budget is the solver section's max_iter, else
     run.max_iter, else run.epochs over the solver's own batch size, else
-    its config class's default.  A baseline's alpha is resolved in spec
-    (_resolve_alpha)."""
+    its config class's default.  An epoch is ceil(N / batch) steps: when
+    batch does not divide N, its last step does not fit in what is left
+    of the sampler's permutation and starts the next one.  A baseline's
+    alpha is resolved in spec (_resolve_alpha)."""
     config_class, module, runner = _SOLVERS[solver]
     overrides = {"batch_size": spec.batch_size, **spec.solvers[solver],
                  "seed": seed}
@@ -373,11 +375,21 @@ def _run_cell(spec, p, solver, reg, seed):
                                    config_class(**overrides))
 
 
-def _prune_sweep(p, x, thresholds):
-    """Per-threshold (alpha, sparsity %, accuracy or None) rows, and the
-    accuracy of x itself.  Each distinct model is scored once: most
-    thresholds prune the same weights, and the smallest often none."""
-    scores = {}  # model bytes -> accuracy or None
+def _objective_and_accuracy(p, x):
+    """f(x) and the accuracy of x (None without labels), both from one
+    forward pass over the data."""
+    full = p.sample(problems.ALL)
+    fwd = full.forward(x)
+    acc = (None if p.labels is None else
+           diagnostics.accuracy_of_margins(p._margins_of(fwd), p.labels))
+    return full.value_of(fwd), acc
+
+
+def _prune_sweep(p, x, acc, thresholds):
+    """Per-threshold (alpha, sparsity %, accuracy or None) rows, given the
+    accuracy acc of x.  Each distinct model is scored once: most thresholds
+    prune the same weights, and the smallest often none."""
+    scores = {x.tobytes(): acc}  # model bytes -> accuracy or None
 
     def score(model):
         key = model.tobytes()
@@ -392,7 +404,7 @@ def _prune_sweep(p, x, thresholds):
     for alpha in thresholds:
         x_p, frac = diagnostics.prune(x, alpha)
         rows.append((alpha, 100.0 * frac, score(x_p)))
-    return rows, score(x)
+    return rows
 
 
 #: the output files of a cell, by its name
@@ -413,9 +425,10 @@ def _cell_job(spec, p, solver, reg, seed, out_dir):
         result = _run_cell(spec, p, solver, reg, seed)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
-        sweep, acc = _prune_sweep(p, result.x, spec.prune_thresholds)
+        f, acc = _objective_and_accuracy(p, result.x)
+        sweep = _prune_sweep(p, result.x, acc, spec.prune_thresholds)
         emit_plot_data(out_dir, cell, result.trace, sweep)
-        row = _summary_row(p, solver, reg, seed, result, acc, sweep)
+        row = _summary_row(p, solver, reg, seed, result, f, acc, sweep)
     except Exception as exc:  # record, keep going
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
                "error": str(exc)}
@@ -437,9 +450,9 @@ def _worker_cell_job(cell_args):
     return _cell_job(*_worker_state, *cell_args)
 
 
-def _summary_row(p, solver, reg, seed, result, acc, sweep):
-    """The summary row of the cell's RunResult.  Its epochs are the steps
-    at each batch size over that size's epoch length."""
+def _summary_row(p, solver, reg, seed, result, f, acc, sweep):
+    """The summary row of the cell's RunResult, whose f(x) is f.  Its epochs
+    are the steps at each batch size over that size's epoch length."""
     x = result.x
     report = diagnostics.sparsity_report(x, thresholds=(1e-3,))
     batches = Counter(rec.batch_size for rec in result.trace)
@@ -448,7 +461,7 @@ def _summary_row(p, solver, reg, seed, result, acc, sweep):
         "reg": _reg_tag(reg),
         "lambda": getattr(reg, "lam", None),
         "seed": seed,
-        "final_objective": p.full_value(x) + reg_value(reg, x),
+        "final_objective": f + reg_value(reg, x),
         "accuracy": acc,
         "pct_zero": report.pct_exact_zero,
         "pct_below_1e-3": report.pct_below[1e-3],

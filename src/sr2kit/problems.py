@@ -16,11 +16,22 @@ C-ordered, so it gives bitwise the same numbers as the index set
 {0..N-1}, which is copied.  full_value/full_grad/sampled_value/sampled_grad
 are thin checked wrappers over this path.
 
-The solvers take a cheaper way through it.  Problem.draw(rng, batch)
+The solvers take a cheaper way through it.  Problem.draw(sampler, batch)
 gathers the rows of draw_sample's indices without checking them again
 (they are sorted, unique and in range by construction), and the solvers
 check each point once, when they make it (a step's new point by its step
 norm), then evaluate it with the unchecked Sample._forward.
+
+Minibatches are drawn by random reshuffling: a run's Sampler draws one
+permutation of {0..N-1} at its first minibatch draw and cuts it into
+consecutive batches, each sorted in place.  When the next batch does not
+fit in what is left of the permutation (N not a multiple of the batch, or
+a batch that the assumption guard doubled partway through), the rest is
+skipped and a new permutation starts, so every batch holds distinct
+indices.  Batches cut from one permutation are disjoint, so they are not
+independent, which SR2's analysis assumes of its batches (a declared
+change from the i.i.d. draws of Generator.choice).  A batch of N is
+{0..N-1} and draws nothing from the RNG.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ __all__ = [
     "Logistic",
     "TinyMLP",
     "SparseRecoveryInstance",
+    "Sampler",
     "draw_sample",
     "make_least_squares",
     "make_logistic",
@@ -156,10 +168,10 @@ class Problem:
             idx = _check_indices(idx, self.N)
         return Sample(self, self._rows(idx))
 
-    def draw(self, rng, batch):
-        """A fresh uniform sample of batch terms (draw_sample), gathered
-        once; its indices need no check."""
-        return Sample(self, self._rows(draw_sample(rng, self.N, batch)))
+    def draw(self, sampler, batch):
+        """The next sample of batch terms from sampler (draw_sample),
+        gathered once; its indices need no check."""
+        return Sample(self, self._rows(draw_sample(sampler, self.N, batch)))
 
     def full_value(self, x):
         return self.sample(ALL).value(x)
@@ -175,6 +187,11 @@ class Problem:
 
     def margins(self, x):
         """Per-sample real-valued prediction scores (classification only)."""
+        raise NotImplementedError(f"{self.name} has no classifier margins")
+
+    def _margins_of(self, fwd):
+        """margins at the point of the full forward pass fwd, with the
+        bits of margins(x)."""
         raise NotImplementedError(f"{self.name} has no classifier margins")
 
 
@@ -272,6 +289,11 @@ class Logistic(Problem):
     def margins(self, x):
         return self.A @ np.asarray(x, dtype=float)
 
+    def _margins_of(self, z):
+        # z = -(y * (A x)) and y is +/-1: the negation and both products
+        # are exact, signed zeros included, so this is A x bit for bit
+        return -(z * self.y)
+
 
 class TinyMLP(Problem):
     """One-hidden-layer tanh network with hand-coded backprop.
@@ -335,9 +357,13 @@ class TinyMLP(Problem):
         return np.concatenate([dW1.ravel(), db1, dw2, [db2]])
 
     def margins(self, x):
+        return self._margins_of(
+            self._forward(np.asarray(x, dtype=float), self._rows(ALL)))
+
+    def _margins_of(self, fwd):
         if self.task != "classification":
             raise NotImplementedError("regression MLP has no classifier margins")
-        return self._forward(np.asarray(x, dtype=float), self._rows(ALL))[2]
+        return fwd[2]
 
     def estimate_local_lipschitz(self, rng, radius=1.0, pairs=200, margin=2.0):
         """Randomized local estimate of the gradient Lipschitz constant on
@@ -387,12 +413,34 @@ def _power_lmax(A, iters=200, tol=1e-12, seed=0):
     return lam * (1.0 + 1e-8)
 
 
-def draw_sample(rng, N, batch):
-    """Uniform without-replacement sample of `batch` indices from {0..N-1},
-    returned in ascending order."""
+class Sampler:
+    """The minibatch draws of one run: its Generator, the current
+    permutation and the position of the next batch in it.  Before the
+    first draw the permutation is empty, so the first minibatch draw
+    starts one."""
+
+    __slots__ = ("rng", "perm", "pos")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.perm = np.empty(0, dtype=np.intp)
+        self.pos = 0
+
+
+def draw_sample(sampler, N, batch):
+    """The next `batch` indices of sampler's permutation of {0..N-1}, in
+    ascending order; a new permutation starts when they do not fit in what
+    is left of it.  batch == N gives {0..N-1} without touching the RNG."""
     if not 1 <= batch <= N:
         raise ValueError(f"batch must be in [1, {N}], got {batch}")
-    idx = rng.choice(N, size=batch, replace=False)
+    if batch == N:
+        return np.arange(N)
+    pos = sampler.pos
+    if pos + batch > sampler.perm.size:
+        sampler.perm = sampler.rng.permutation(N)
+        pos = 0
+    sampler.pos = pos + batch
+    idx = sampler.perm[pos:pos + batch]  # read by no later draw: no copy
     idx.sort()
     return idx
 

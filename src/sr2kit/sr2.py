@@ -9,14 +9,19 @@ very successful steps deflate it down to sigma_min.
 Minibatch: each step draws one sample (Problem.draw: one gather of its
 rows, whose drawn indices are not checked again); f(x) and the gradient
 on it come from one forward pass, and f(x + s) on the same sample costs
-one more forward pass.
+one more forward pass.  Samples come from the run's Sampler (random
+reshuffling, see problems): consecutive batches of one permutation of the
+data, and a new permutation when the next batch does not fit in the rest,
+also after the guard doubles the batch.  Batches of one permutation are
+disjoint, so not independent as SR2's analysis assumes.
 
 Each point is checked once, when it is made: x0 in full in _drive, each
 trial point x + s by its step norm (_Point.stepped: x is finite, so a
 finite ||s||^2 shows x + s finite).  No evaluation checks it again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
-no sample is drawn and the RNG is left untouched; the data set is read in
+no sample is drawn and the RNG is left untouched (a run that starts at N
+never makes its Sampler); the data set is read in
 place; and the forward pass, f(x), the gradient and R(x) are kept while x
 is unchanged, so a rejected step only changes sigma and takes one prox
 step, as in the deterministic R2.  The forward pass computed for f(x + s)
@@ -45,11 +50,12 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleAnchorError, NumericalFailureError
-from .problems import ALL, _check_point
+from .problems import ALL, Sampler, _check_point
 from .regularizers import Regularizer, reg_value, shifted_prox
 
 __all__ = [
@@ -178,6 +184,11 @@ class SolverState:
     def x(self):
         return self.point.x
 
+    @cached_property
+    def sampler(self):
+        """The run's minibatch Sampler over rng, made at its first draw."""
+        return Sampler(self.rng)
+
 
 @dataclass
 class IterationRecord:
@@ -261,7 +272,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         g = at_x.full_grad(p)
         f_before = at_x.full_value(p)
     else:
-        sample = p.draw(state.rng, batch)
+        sample = p.draw(state.sampler, batch)
         f_before, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x

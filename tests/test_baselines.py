@@ -11,7 +11,7 @@ from sr2kit.baselines import (
     run_proxsgd,
 )
 from sr2kit.errors import UnsupportedRegularizerError
-from sr2kit.problems import draw_sample, make_least_squares
+from sr2kit.problems import Sampler, draw_sample, make_least_squares
 from sr2kit.regularizers import L0, L1, L0Ball, Zero, shifted_prox
 
 from conftest import lasso_objective
@@ -28,20 +28,18 @@ class TestProxGen:
         p = small_problem
         alpha = 0.0625  # power of two so 1/alpha and g/(1/alpha) are exact
         x = np.zeros(6)
-        rng1 = np.random.default_rng(1)
-        rng2 = np.random.default_rng(1)
-        x_new, _, _ = proxgen_step(p, Zero(), x, alpha, rng1, 8)
-        idx = draw_sample(rng2, p.N, 8)
+        x_new, _, _ = proxgen_step(p, Zero(), x, alpha,
+                                   Sampler(np.random.default_rng(1)), 8)
+        idx = draw_sample(Sampler(np.random.default_rng(1)), p.N, 8)
         expected = x - alpha * p.sampled_grad(x, idx)
         np.testing.assert_array_equal(x_new, expected)
 
     def test_is_shifted_prox_at_inverse_alpha(self, small_problem):
         p = small_problem
         alpha, x = 0.1, np.ones(6)
-        rng1 = np.random.default_rng(2)
-        rng2 = np.random.default_rng(2)
-        x_new, _, _ = proxgen_step(p, L1(0.3), x, alpha, rng1, 8)
-        idx = draw_sample(rng2, p.N, 8)
+        x_new, _, _ = proxgen_step(p, L1(0.3), x, alpha,
+                                   Sampler(np.random.default_rng(2)), 8)
+        idx = draw_sample(Sampler(np.random.default_rng(2)), p.N, 8)
         g = p.sampled_grad(x, idx)
         st = shifted_prox(L1(0.3), x, g, 1.0 / alpha)
         np.testing.assert_array_equal(x_new, x + st.s)
@@ -61,24 +59,23 @@ class TestProxGen:
     def test_nonpositive_alpha(self, small_problem):
         with pytest.raises(ValueError):
             proxgen_step(small_problem, Zero(), np.zeros(6), 0.0,
-                         np.random.default_rng(0), 4)
+                         Sampler(np.random.default_rng(0)), 4)
 
 
 class TestProxSGD:
     def test_zero_reg_is_plain_sg(self, small_problem):
         p = small_problem
         alpha, x = 0.25, np.zeros(6)
-        rng1 = np.random.default_rng(3)
-        rng2 = np.random.default_rng(3)
-        x_new, _, _ = proxsgd_step(p, Zero(), x, alpha, rng1, 8)
-        idx = draw_sample(rng2, p.N, 8)
+        x_new, _, _ = proxsgd_step(p, Zero(), x, alpha,
+                                   Sampler(np.random.default_rng(3)), 8)
+        idx = draw_sample(Sampler(np.random.default_rng(3)), p.N, 8)
         expected = x - alpha * p.sampled_grad(x, idx)
         np.testing.assert_allclose(x_new, expected)
 
     def test_nonconvex_rejected(self, small_problem):
         with pytest.raises(UnsupportedRegularizerError):
             proxsgd_step(small_problem, L0(0.5), np.zeros(6), 0.5,
-                         np.random.default_rng(0), 4)
+                         Sampler(np.random.default_rng(0)), 4)
         with pytest.raises(UnsupportedRegularizerError):
             run_proxsgd(small_problem, L0Ball(2), np.zeros(6),
                         BaselineConfig(alpha=0.5))
@@ -86,21 +83,22 @@ class TestProxSGD:
     def test_alpha_one_matches_proxgen(self, small_problem):
         p = small_problem
         x = 0.3 * np.ones(6)
-        a, _, _ = proxsgd_step(p, L1(0.2), x, 1.0, np.random.default_rng(4), 8)
-        b, _, _ = proxgen_step(p, L1(0.2), x, 1.0, np.random.default_rng(4), 8)
+        a, _, _ = proxsgd_step(p, L1(0.2), x, 1.0,
+                               Sampler(np.random.default_rng(4)), 8)
+        b, _, _ = proxgen_step(p, L1(0.2), x, 1.0,
+                               Sampler(np.random.default_rng(4)), 8)
         np.testing.assert_allclose(a, b)
 
     def test_alpha_range(self, small_problem):
         with pytest.raises(ValueError):
             proxsgd_step(small_problem, L1(0.1), np.zeros(6), 1.5,
-                         np.random.default_rng(0), 4)
+                         Sampler(np.random.default_rng(0)), 4)
 
     def test_l1_output_feasible_and_prox_certified(self, small_problem):
         p = small_problem
         x = np.ones(6)
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        x_new, step, _ = proxsgd_step(p, L1(0.2), x, 0.5, rng1, 8)
+        x_new, step, _ = proxsgd_step(p, L1(0.2), x, 0.5,
+                                      Sampler(np.random.default_rng(5)), 8)
         assert np.isfinite(x_new).all()
         # the intermediate subproblem solution satisfies the model-decrease
         # certificate at sigma = 1

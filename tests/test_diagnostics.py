@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr2kit.diagnostics import (
     DEFAULT_PRUNE_THRESHOLDS,
     accuracy,
+    accuracy_of_margins,
     prune,
     sparsity_report,
     stationarity_surrogate,
@@ -140,3 +143,17 @@ def test_pruning_at_tiny_threshold_preserves_accuracy():
     x = rng.normal(size=12)
     x_p, _ = prune(x, 1e-8)
     assert accuracy(p, x_p) == accuracy(p, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300,
+                                           -1e-300, np.inf, -np.inf, np.nan]),
+                          st.sampled_from([1.0, -1.0])), min_size=1,
+                max_size=200))
+def test_accuracy_of_margins_is_the_mean_of_matches_bitwise(pairs):
+    # an exact count over N is the add-reduce of 0/1 over N that np.mean
+    # takes; sign(0) (and -0) counts as +1, a NaN margin as -1
+    margins, labels = (np.array(column) for column in zip(*pairs))
+    pred = np.where(margins >= 0.0, 1.0, -1.0)
+    assert accuracy_of_margins(margins, labels) == 100.0 * float(
+        np.mean(pred == labels))

@@ -1,7 +1,9 @@
 """Golden traces: sr2.run and the baselines against plain reference steppers.
 
 The references below are the iterations written without any shortcut: they
-draw a sample every step (SR2 also at full batch), evaluate every quantity
+draw a sample every step (SR2 also at full batch) through the package's own
+random-reshuffling sampler (a Sampler per run and draw_sample, which
+test_problems checks on its own), evaluate every quantity
 through the public, checked oracles (sampled_grad, sampled_value,
 full_value) and keep nothing from one step to the next.  The SR2 reference
 stops where the package does: on the window, at a full-batch zero step
@@ -29,6 +31,7 @@ from sr2kit.problems import (
     ALL,
     LeastSquares,
     Logistic,
+    Sampler,
     TinyMLP,
     draw_sample,
     make_least_squares,
@@ -56,7 +59,7 @@ def reference_step(p, reg, state, cfg):
     x = state.x
     sigma = state.sigma
     batch = min(state.batch_size, p.N)
-    idx = draw_sample(state.rng, p.N, batch)
+    idx = draw_sample(state.sampler, p.N, batch)
 
     g = p.sampled_grad(x, idx)
     r_x = reg_value(reg, x)
@@ -127,7 +130,8 @@ def reference_run(p, reg, x0, cfg, zero_step_stop=True):
     """The SR2 loop; with zero_step_stop=False it runs on through the zero
     steps, as the package did before it stopped at the first."""
     state = SimpleNamespace(x=np.array(x0, dtype=float), sigma=cfg.sigma0,
-                            t=0, rng=np.random.default_rng(cfg.seed),
+                            t=0,
+                            sampler=Sampler(np.random.default_rng(cfg.seed)),
                             batch_size=min(cfg.batch_size, p.N),
                             window=deque(maxlen=cfg.window))
     trace = []
@@ -150,12 +154,12 @@ def column(records, name):
 def reference_baseline_run(p, reg, x0, cfg, interpolate):
     """ProxGEN (interpolate=False) or ProxSGD (True) as the plain loop."""
     x = np.array(x0, dtype=float)
-    rng = np.random.default_rng(cfg.seed)
+    sampler = Sampler(np.random.default_rng(cfg.seed))
     batch = min(cfg.batch_size, p.N)
     trace = []
     for t in range(1, cfg.max_iter + 1):
         alpha = cfg.step_size(t)
-        idx = draw_sample(rng, p.N, batch)
+        idx = draw_sample(sampler, p.N, batch)
         g = p.sampled_grad(x, idx)
         if interpolate:
             step = shifted_prox(reg, x, g, 1.0)

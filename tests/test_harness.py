@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sr2kit import baselines, cli, diagnostics, harness, problems, sr2
 from sr2kit.errors import ParseError
@@ -565,22 +567,61 @@ def test_trace_columns_are_the_record_fields():
                  for name in fields) == harness.TRACE_COLUMNS
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["least_squares", "logistic", "mlp_regression",
+                             "mlp_classification"]),
+       seed=st.integers(0, 2**32 - 1),
+       point=st.sampled_from(["normal", "zero", "negative_zero", "mixed"]))
+def test_cell_score_is_full_value_and_accuracy_bitwise(kind, seed, point):
+    # f(x) and the accuracy from one forward pass are the bits of
+    # full_value and of accuracy through margins, signed zeros included
+    rng = np.random.default_rng(seed)
+    N, n = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    if kind == "least_squares":
+        p = problems.make_least_squares(rng, N, n, 0.1)
+    elif kind == "logistic":
+        p = problems.make_logistic(rng, N, n)
+    else:
+        labels = np.where(rng.normal(size=N) >= 0.0, 1.0, -1.0)
+        p = problems.TinyMLP(rng.normal(size=(N, n)), labels, hidden=3,
+                             task=kind[4:])
+    x = {"normal": rng.normal(size=p.n), "zero": np.zeros(p.n),
+         "negative_zero": np.full(p.n, -0.0),
+         "mixed": np.where(rng.random(p.n) < 0.5, -0.0, rng.normal(size=p.n))
+         }[point]
+    f, acc = harness._objective_and_accuracy(p, x)
+    assert f == p.full_value(x)
+    if p.labels is None:
+        assert acc is None
+    else:
+        assert acc == diagnostics.accuracy(p, x)
+        fwd = p.sample(problems.ALL).forward(x)
+        assert p._margins_of(fwd).tobytes() == p.margins(x).tobytes()
+
+
 def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
-    # the prune sweep scores each distinct pruned model once, and the
-    # summary reuses its score of x; report scores none
-    scored = []  # per cell: the bytes of each model whose margins are taken
-    margins, prune_sweep = problems.Logistic.margins, harness._prune_sweep
+    # x is scored from the one full forward pass that also gives its final
+    # objective; the prune sweep scores each distinct pruned model other
+    # than x once, through its margins; report scores none
+    scored = []  # per cell: (points of checked forward passes, margins)
+    margins, forward = problems.Logistic.margins, problems.Sample.forward
+    score = harness._objective_and_accuracy
 
     def counted_margins(self, x):
-        scored[-1].append(np.asarray(x, dtype=float).tobytes())
+        scored[-1][1].append(np.asarray(x, dtype=float).tobytes())
         return margins(self, x)
 
-    def counted_sweep(*args):
-        scored.append([])
-        return prune_sweep(*args)
+    def counted_forward(self, x):
+        scored[-1][0].append(np.asarray(x, dtype=float).tobytes())
+        return forward(self, x)
+
+    def counted_score(*args):
+        scored.append(([], []))
+        return score(*args)
 
     monkeypatch.setattr(problems.Logistic, "margins", counted_margins)
-    monkeypatch.setattr(harness, "_prune_sweep", counted_sweep)
+    monkeypatch.setattr(problems.Sample, "forward", counted_forward)
+    monkeypatch.setattr(harness, "_objective_and_accuracy", counted_score)
     cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
     spec = harness.parse_config(cfg_path)
     out = str(tmp_path / "o")
@@ -593,12 +634,13 @@ def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):
     cells = [row["cell"] for row in run_rows if "cell" in row]
     assert len(run_scored) == len(cells)
     saved = 0
-    for cell, models in zip(cells, run_scored):
+    for cell, (passes, models) in zip(cells, run_scored):
         x = harness.load_model(os.path.join(out, f"model_{cell}.txt"))
+        assert passes == [x.tobytes()]
         pruned = {diagnostics.prune(x, alpha)[0].tobytes()
                   for alpha in spec.prune_thresholds}
         assert len(models) == len(set(models))
-        assert pruned <= set(models) <= pruned | {x.tobytes()}
+        assert set(models) == pruned - {x.tobytes()}
         saved += len(spec.prune_thresholds) + 1 - len(models)
     assert saved > 0
 

@@ -14,6 +14,7 @@ from sr2kit.problems import (
     Dataset,
     LeastSquares,
     Logistic,
+    Sampler,
     TinyMLP,
     draw_sample,
     load_csv,
@@ -203,32 +204,81 @@ class TestLogistic:
             Logistic(np.eye(2), np.array([1.0, 2.0]))
 
 
-class TestSampling:
-    def test_full_batch_is_everything(self):
-        rng = np.random.default_rng(7)
-        idx = draw_sample(rng, 10, 10)
-        np.testing.assert_array_equal(idx, np.arange(10))
+# draw_sample's random reshuffling is checked below on its own: the golden
+# traces replay it through the same sampler, so they cannot catch a fault
+# in it
 
-    def test_deterministic_given_seed(self):
-        a = draw_sample(np.random.default_rng(7), 10, 3)
-        b = draw_sample(np.random.default_rng(7), 10, 3)
-        np.testing.assert_array_equal(a, b)
+
+@st.composite
+def draw_plans(draw):
+    """N, a seed and the batch size of each draw: a fixed batch that may
+    double from some draw on (capped at N), as the assumption guard does."""
+    N = draw(st.integers(1, 120))
+    batch = draw(st.integers(1, N))
+    count = draw(st.integers(1, 60))
+    double_at = draw(st.none() | st.integers(0, count - 1))
+    sizes = [batch if double_at is None or k < double_at else min(2 * batch, N)
+             for k in range(count)]
+    return N, draw(st.integers(0, 2**32 - 1)), sizes
+
+
+def replay(N, seed, sizes):
+    """A copy of each draw of one sampler at the given batch sizes, and the
+    permutation it was cut from (None for a batch of N, which has none)."""
+    sampler = Sampler(np.random.default_rng(seed))
+    draws = []
+    for batch in sizes:
+        idx = draw_sample(sampler, N, batch).copy()
+        draws.append((idx, None if batch == N else sampler.perm))
+    return draws
+
+
+class TestSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 120), data=st.data())
+    def test_full_batch_is_everything(self, N, data):
+        # {0..N-1}, and the RNG untouched: from the start, or once a
+        # doubled batch has reached N
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sampler = Sampler(rng)
+        minibatches = (data.draw(st.lists(st.integers(1, N - 1), max_size=5))
+                       if N > 1 else [])
+        for batch in minibatches:
+            draw_sample(sampler, N, batch)
+        snapshot = rng.bit_generator.state
+        for _ in range(3):
+            np.testing.assert_array_equal(draw_sample(sampler, N, N),
+                                          np.arange(N))
+        assert rng.bit_generator.state == snapshot
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw_plans())
+    def test_deterministic_given_seed(self, plan):
+        N, seed, sizes = plan
+        for (a, _), (b, _) in zip(replay(N, seed, sizes),
+                                  replay(N, seed, sizes)):
+            assert a.tobytes() == b.tobytes()
 
     def test_batch_out_of_range(self):
-        rng = np.random.default_rng(0)
+        sampler = Sampler(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            draw_sample(rng, 10, 0)
+            draw_sample(sampler, 10, 0)
         with pytest.raises(ValueError):
-            draw_sample(rng, 10, 11)
+            draw_sample(sampler, 10, 11)
 
     def test_uniform_frequency(self):
-        # 60,000 single-index draws from 6: each index ~ Binomial(60000, 1/6),
-        # 3 sigma ~ 274; the tolerance 400 is comfortably beyond that
-        rng = np.random.default_rng(11)
+        # 60,000 single-index draws from 6 are 10,000 permutations: each
+        # index is drawn once per permutation, and first in ~Binomial(10000,
+        # 1/6) of them, 3 sigma ~ 112; the tolerance 200 is beyond that
+        sampler = Sampler(np.random.default_rng(11))
         counts = np.zeros(6, dtype=int)
-        for _ in range(60_000):
-            counts[draw_sample(rng, 6, 1)[0]] += 1
-        assert np.all(np.abs(counts - 10_000) <= 400)
+        first = np.zeros(6, dtype=int)
+        for k in range(60_000):
+            i = draw_sample(sampler, 6, 1)[0]
+            counts[i] += 1
+            first[i] += k % 6 == 0
+        assert np.all(counts == 10_000)
+        assert np.all(np.abs(first - 10_000 / 6) <= 200)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=KINDS, N=st.integers(1, 40), n=st.integers(1, 8),
@@ -267,15 +317,53 @@ class TestSampling:
         assert f == f_ref
         assert g.tobytes() == g_ref.tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(N=st.integers(1, 300), data=st.data())
-    def test_draw_sample_sorted_unique_in_range(self, N, data):
-        batch = data.draw(st.integers(1, N))
+    @settings(max_examples=150, deadline=None)
+    @given(draw_plans())
+    def test_draw_sample_sorted_unique_in_range(self, plan):
+        # every draw of a run, also after the batch doubles
+        N, seed, sizes = plan
+        for (idx, _), batch in zip(replay(N, seed, sizes), sizes):
+            assert idx.shape == (batch,)
+            assert np.all(np.diff(idx) > 0)  # sorted and unique
+            assert idx[0] >= 0 and idx[-1] < N
+
+    @settings(max_examples=150, deadline=None)
+    @given(draw_plans())
+    def test_batches_cut_one_permutation_until_one_does_not_fit(self, plan):
+        N, seed, sizes = plan
+        rng = np.random.default_rng(seed)  # draws the same permutations
+        last, used = None, 0
+        for (idx, cut_from), batch in zip(replay(N, seed, sizes), sizes):
+            if cut_from is None:
+                np.testing.assert_array_equal(idx, np.arange(N))
+                continue
+            # a new permutation starts at the first draw and exactly when
+            # the batch does not fit in what is left of the last one
+            assert (cut_from is not last) == (last is None or used + batch > N)
+            if cut_from is not last:
+                perm, last = rng.permutation(N), cut_from
+                used, taken = 0, set()
+            # the batch is the permutation's next `batch` entries, sorted
+            # (the rest of the last one is skipped), disjoint from the
+            # batches cut from it before
+            np.testing.assert_array_equal(idx,
+                                          np.sort(perm[used:used + batch]))
+            assert taken.isdisjoint(idx.tolist())
+            taken.update(idx.tolist())
+            used += batch
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(2, 120), data=st.data())
+    def test_fixed_batch_serves_n_over_batch_per_permutation(self, N, data):
+        batch = data.draw(st.integers(1, N - 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        idx = draw_sample(np.random.default_rng(seed), N, batch)
-        assert idx.shape == (batch,)
-        assert np.all(np.diff(idx) > 0)  # sorted and unique
-        assert idx[0] >= 0 and idx[-1] < N
+        per_perm = N // batch
+        draws = replay(N, seed, [batch] * (3 * per_perm + 1))
+        perms = [perm for _, perm in draws]
+        for k in range(3):
+            run = perms[k * per_perm:(k + 1) * per_perm]
+            assert all(perm is run[0] for perm in run)
+            assert perms[(k + 1) * per_perm] is not run[0]
 
     @pytest.mark.parametrize("idx", [[], [3], [-1], [0, 2, 0], [0.9, 2.7],
                                      np.array([False, True])])
@@ -305,15 +393,17 @@ class TestSampling:
         assert not np.shares_memory(A_i, p.A)
 
     def test_sampled_grad_unbiased(self):
-        # Monte-Carlo mean over uniform single-index draws approaches the
-        # full gradient within 3 standard errors per coordinate
+        # the mean over single-index draws (500 permutations of the 20
+        # samples) is the full gradient within 3 standard errors per
+        # coordinate
         rng = np.random.default_rng(5)
         p = make_least_squares(rng, 20, 4, 0.3)
         x = rng.normal(size=4)
         draws = 10_000
         grads = np.empty((draws, 4))
+        sampler = Sampler(rng)
         for i in range(draws):
-            grads[i] = p.sampled_grad(x, draw_sample(rng, p.N, 1))
+            grads[i] = p.sampled_grad(x, draw_sample(sampler, p.N, 1))
         mean = grads.mean(axis=0)
         se = grads.std(axis=0, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(mean - p.full_grad(x)) <= 3.0 * se + 1e-12)

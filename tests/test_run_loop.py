@@ -17,7 +17,7 @@ import sr2kit
 from sr2kit import baselines, harness, problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import InfeasibleAnchorError
-from sr2kit.problems import make_least_squares, make_logistic
+from sr2kit.problems import LeastSquares, make_least_squares, make_logistic
 from sr2kit.regularizers import L1, L0Ball, Zero
 from sr2kit.sr2 import SolverConfig, run, stationarity_estimate
 
@@ -73,12 +73,15 @@ class TestBoundary:
 
     def test_non_finite_trial_point_raises(self, problem, solver,
                                            config_class, options):
-        # x0 is finite, but A x0 overflows, so the gradient and the step
-        # do: the point the step makes fails its check
+        # x0 is finite, but a_i x0 overflows on every row, whichever rows
+        # the step draws, so the gradient and the step do: the point the
+        # step makes fails its check
+        problem = LeastSquares(10.0 + np.abs(problem.A), problem.y)
         x0 = np.full(problem.n, 1e307)
-        with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                      match="non-finite"):
-            solver(problem, L1(0.1), x0, config(config_class, options))
+        with np.errstate(all="ignore"):
+            assert np.isposinf(problem.A @ x0).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                solver(problem, L1(0.1), x0, config(config_class, options))
 
     def test_zero_budget(self, problem, solver, config_class, options):
         x0 = np.ones(problem.n)
