@@ -18,9 +18,10 @@ are thin checked wrappers over this path.
 
 The solvers take a cheaper way through it.  Problem.draw(sampler, batch)
 gathers the rows of draw_sample's indices without checking them again
-(they are sorted, unique and in range by construction), and the solvers
-check each point once, when they make it (a step's new point by its step
-norm), then evaluate it with the unchecked Sample._forward.
+(they are sorted, unique and in range by construction; a batch of N is
+read in place, as by sample(ALL)), and the solvers check each point once,
+when they make it (a step's new point by its step norm), then evaluate it
+with the unchecked Sample._forward.
 
 Minibatches are drawn by random reshuffling: a run's Sampler draws one
 permutation of {0..N-1} at its first minibatch draw and cuts it into
@@ -123,7 +124,9 @@ class Problem:
 
     L_bound is a Lipschitz bound on the full gradient, or None.  Where a
     subclass can compute one, it does so on first read, from the stored A,
-    so it depends only on the data and not on its memory layout.  Only
+    so it depends only on the data and not on its memory layout: the exact
+    top eigenvalue of the smaller Gram matrix (_gram_lmax), inflated just
+    enough to bound lambda_max(A^T A), or NaN when the Gram overflows.  Only
     these read it: a baseline's alpha: auto in the harness (once per run),
     SR2's kappa_m: auto under the assumption guard, and
     make_sparse_recovery's l0_lambda.  It may be assigned.
@@ -170,8 +173,10 @@ class Problem:
 
     def draw(self, sampler, batch):
         """The next sample of batch terms from sampler (draw_sample),
-        gathered once; its indices need no check."""
-        return Sample(self, self._rows(draw_sample(sampler, self.N, batch)))
+        gathered once; its indices need no check.  A batch of N is the
+        whole data set, read in place as by sample(ALL)."""
+        idx = draw_sample(sampler, self.N, batch)
+        return Sample(self, self._rows(ALL if batch == self.N else idx))
 
     def full_value(self, x):
         return self.sample(ALL).value(x)
@@ -234,8 +239,8 @@ class Sample:
 
 
 class LeastSquares(Problem):
-    """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N, by
-    power iteration on the stored A on first read (see Problem)."""
+    """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N,
+    from the stored A on first read (see Problem)."""
 
     def __init__(self, A, y, name="least_squares"):
         super().__init__(A, y, name)
@@ -243,7 +248,7 @@ class LeastSquares(Problem):
 
     @cached_property
     def L_bound(self):
-        return _power_lmax(self.A) / self.N
+        return _gram_lmax(self.A) / self.N
 
     def _forward(self, x, rows):
         Ai, yi = rows
@@ -259,8 +264,8 @@ class LeastSquares(Problem):
 
 class Logistic(Problem):
     """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}.  L_bound =
-    lambda_max(A^T A) / (4N), since sigmoid' <= 1/4, by power iteration on
-    the stored A on first read (see Problem)."""
+    lambda_max(A^T A) / (4N), since sigmoid' <= 1/4, from the stored A on
+    first read (see Problem)."""
 
     def __init__(self, A, y, name="logistic"):
         super().__init__(A, y, name)
@@ -271,7 +276,7 @@ class Logistic(Problem):
 
     @cached_property
     def L_bound(self):
-        return _power_lmax(self.A) / (4.0 * self.N)
+        return _gram_lmax(self.A) / (4.0 * self.N)
 
     def _forward(self, x, rows):
         Ai, yi = rows
@@ -391,26 +396,15 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / d  # 1/d or e/d per element
 
 
-def _power_lmax(A, iters=200, tol=1e-12, seed=0):
-    """Largest eigenvalue of A^T A by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=A.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        if abs(nw - lam) <= tol * max(1.0, lam):
-            lam = nw
-            break
-        lam = nw
-        v = v_new
-    # small inflation so the estimate upper-bounds the true value despite
-    # finite iteration count
-    return lam * (1.0 + 1e-8)
+def _gram_lmax(A):
+    """lambda_max(A^T A), the top eigenvalue of the smaller of A^T A and
+    A A^T (they share it) by one symmetric eigensolve, inflated by 1e-8 to
+    cover the Gram's rounding so that it bounds the exact value; NaN when
+    the Gram overflows."""
+    G = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
+    if not np.isfinite(G).all():
+        return np.nan
+    return float(np.linalg.eigvalsh(G)[-1]) * (1.0 + 1e-8)
 
 
 class Sampler:

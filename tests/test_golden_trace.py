@@ -529,6 +529,24 @@ def test_baseline_one_sample_per_iteration(index_checks, monkeypatch, solver):
     assert p.calls["full_forward"] == 0
 
 
+@pytest.mark.parametrize("solver,reference", [
+    (run_proxgen, reference_proxgen), (run_proxsgd, reference_proxsgd)])
+def test_full_batch_baseline_reads_the_data_in_place(lasso_instance, solver,
+                                                     reference):
+    # at batch_size >= N every step's sample is the whole data set, read in
+    # place with no row gathered, and the run is bitwise the reference's,
+    # which gathers the rows {0..N-1} at every step
+    A, b, lam = lasso_instance["A"], lasso_instance["b"], lasso_instance["lam"]
+    cfg = BaselineConfig(alpha=0.01, batch_size=len(b) + 1, max_iter=100,
+                         seed=0, record_full_objective=True)
+    assert_same_trace(LeastSquares(A, b), L1(lam), np.zeros(A.shape[1]), cfg,
+                      reference, solver)
+    p = CountingLeastSquares(A, b)
+    solver(p, L1(lam), np.zeros(p.n), cfg)
+    assert p.calls["gather"] == p.calls["sample_forward"] == 0
+    assert p.calls["full_backward"] == 100
+
+
 def test_rng_untouched_after_batch_reaches_n():
     p = guard_problem()
     cfg = SolverConfig(batch_size=1, max_iter=200, seed=3,

@@ -1047,38 +1047,38 @@ class TestJobsOption:
 
 
 @pytest.fixture
-def power_iterations(monkeypatch):
-    """The calls of problems._power_lmax in this process; a call in any
+def lipschitz_calls(monkeypatch):
+    """The calls of problems._gram_lmax in this process; a call in any
     other process (a pool worker) raises."""
     calls = []
-    power_lmax, parent = problems._power_lmax, os.getpid()
+    gram_lmax, parent = problems._gram_lmax, os.getpid()
 
-    def counted(A, *args, **kwargs):
+    def counted(A):
         if os.getpid() != parent:
-            raise AssertionError("power iteration in a pool worker")
+            raise AssertionError("Lipschitz bound computed in a pool worker")
         calls.append(A.shape)
-        return power_lmax(A, *args, **kwargs)
+        return gram_lmax(A)
 
-    monkeypatch.setattr(problems, "_power_lmax", counted)
+    monkeypatch.setattr(problems, "_gram_lmax", counted)
     return calls
 
 
 class TestLipschitzOnlyWhenRead:
     @pytest.mark.parametrize("make", [problems.make_least_squares,
                                       problems.make_logistic])
-    def test_problem_and_sr2_run_compute_none(self, power_iterations, make):
+    def test_problem_and_sr2_run_compute_none(self, lipschitz_calls, make):
         p = make(np.random.default_rng(0), 60, 5)
         sr2.run(p, L1(0.01), np.zeros(p.n),
                 sr2.SolverConfig(batch_size=8, max_iter=50, seed=1))
-        assert power_iterations == []
+        assert lipschitz_calls == []
 
-    def test_sr2_grid_computes_none(self, tmp_path, power_iterations):
+    def test_sr2_grid_computes_none(self, tmp_path, lipschitz_calls):
         spec = harness.parse_config(write_config(tmp_path, BASIC_CONFIG))
         harness.run_experiments(spec, str(tmp_path / "o"))
-        assert power_iterations == []
+        assert lipschitz_calls == []
 
     def test_alpha_auto_computed_once_in_the_parent(self, tmp_path,
-                                                    power_iterations):
+                                                    lipschitz_calls):
         # proxgen and proxsgd both take 1/L; at --jobs 2 a worker that
         # computed L would fail its cell
         cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG.replace(
@@ -1086,8 +1086,29 @@ class TestLipschitzOnlyWhenRead:
         spec = harness.parse_config(cfg_path)
         outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
         summary = harness.run_experiments(spec, outs[0], config_path=cfg_path)
-        assert power_iterations == [(60, 6)]
+        assert lipschitz_calls == [(60, 6)]
         assert harness.run_experiments(spec, outs[1], jobs=2,
                                        config_path=cfg_path) == summary
         assert not any("error" in row for row in summary)
         assert_same_outputs(*outs)
+
+
+class TestLipschitzEdgeDesigns:
+    def test_zero_design_gives_zero_and_the_fallback_alpha(self, tmp_path):
+        # L = 0 gives no step size 1/L: alpha: auto falls back to 1e-3
+        p = problems.LeastSquares(np.zeros((40, 8)), np.ones(40))
+        assert p.L_bound == 0.0
+        assert problems.Logistic(np.zeros((3, 5)), np.ones(3)).L_bound == 0.0
+        cfg = BASIC_CONFIG.replace("sr2: {}", "proxgen: {alpha: auto}")
+        spec = harness.parse_config(write_config(tmp_path, cfg))
+        assert harness._resolve_alpha(spec, p).solvers["proxgen"] == {
+            "alpha": 1e-3}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_gives_nan(self, tmp_path):
+        # A^T A overflows on the 1e200 entry; an eigensolve of the
+        # non-finite Gram would raise LinAlgError
+        cfg = REPORT_CONFIG.format(data=write_overflowing_data(tmp_path))
+        p = harness.build_problem(
+            harness.parse_config(write_config(tmp_path, cfg)))
+        assert np.isnan(p.L_bound)

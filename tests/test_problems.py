@@ -468,12 +468,44 @@ def test_lipschitz_bound_on_random_pairs(maker, kwargs):
        seed=st.integers(0, 2**32 - 1))
 def test_lipschitz_bound_depends_only_on_the_data(kind, N, n, layout, seed):
     # L is computed from the stored C-ordered A: every layout of one matrix
-    # gives the bits of C order, which are those of power iteration on it
+    # gives the bits of C order, which are those of the Gram eigensolve on it
     p = build_problem(kind, N, n, layout, np.random.default_rng(seed))
     c = build_problem(kind, N, n, "C", np.random.default_rng(seed))
     assert p.L_bound.hex() == c.L_bound.hex()
     scale = 1.0 if kind == "least_squares" else 4.0
-    assert c.L_bound.hex() == (problems._power_lmax(c.A) / (scale * N)).hex()
+    assert c.L_bound.hex() == (problems._gram_lmax(c.A) / (scale * N)).hex()
+
+
+def rank_one_problem():
+    rng = np.random.default_rng(5)
+    return LeastSquares(np.outer(rng.normal(size=50), rng.normal(size=8)),
+                        np.zeros(50))
+
+
+LIPSCHITZ_DESIGNS = {
+    # two of criterion 3's designs, whose top two eigenvalues are close
+    "least_squares_200x50_seed2": lambda: make_least_squares(
+        np.random.default_rng(2), 200, 50, 0.2),
+    "least_squares_200x50_seed4": lambda: make_least_squares(
+        np.random.default_rng(4), 200, 50, 0.2),
+    "criterion5_400x100": lambda: LeastSquares(
+        np.random.default_rng(42).normal(size=(400, 100)), np.zeros(400)),
+    "wide_30x80": lambda: make_least_squares(np.random.default_rng(3), 30, 80),
+    "rank_one_50x8": rank_one_problem,
+    "logistic_2000x50": lambda: make_logistic(
+        np.random.default_rng(7), 2000, 50),
+}
+
+
+@pytest.mark.parametrize("design", LIPSCHITZ_DESIGNS)
+def test_lipschitz_bound_bounds_the_top_eigenvalue(design):
+    # the reference is an SVD of A, which does not form a Gram matrix: L
+    # is at least lambda_max(A^T A) / (scale N), and above it by no more
+    # than its 1e-8 inflation and the rounding of both sides
+    p = LIPSCHITZ_DESIGNS[design]()
+    scale = 4.0 if isinstance(p, Logistic) else 1.0
+    ref = np.linalg.norm(p.A, 2) ** 2
+    assert ref <= scale * p.N * p.L_bound <= ref * (1 + 1e-7)
 
 
 class TestSparseRecovery:
