@@ -3,19 +3,21 @@ ProxSGD-style interpolated proximal SG, both with momentum and
 preconditioning disabled (identity metric, v_t = g_t).
 
 Neither method tests step quality: every step is taken, the batch size is
-fixed, and the step size follows the configured schedule.  Each step
-draws one sample from the run's Sampler (Problem.draw: random
-reshuffling as in SR2, one gather, no check of the drawn indices; a batch
-of N is the whole data set and draws nothing from the RNG) and gets f(x)
-and the gradient on it from one forward pass; the trace's f(x') is
-evaluated on that same sample.  x is not checked by the steps: each point
-is checked once, as its _Point is made: x0 in full, each x' by the step
-norm ||x' - x||^2 that the trace records.
+fixed, and the step size follows the configured schedule.  proxgen_step
+and proxsgd_step are the two update rules alone: they take x and a
+sampled gradient g and draw and evaluate nothing.
 
 run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
-which calls proxgen_step or proxsgd_step once and keeps R(x) and f(x) on
-the iterate's _Point as SR2 does.  No step adds to the window, so a run
-uses its whole budget; state.sigma is 1/alpha of the next step.
+which evaluates as sr2_step does: it draws one sample from the run's
+Sampler (Problem.draw: random reshuffling as in SR2; a batch of N is the
+problem's full sample and draws nothing from the RNG), asks the iterate's
+_Point for f(x) and the gradient on it, calls the update rule once, and
+evaluates the trace's f(x') on the same sample through the new point's
+_Point.  So at full batch the forward pass of x' made for the trace is
+the one the next step's gradient reads.  Each point is checked once, as
+its _Point is made: x0 in full, each x' by the step norm ||x' - x||^2
+that the trace records.  No step adds to the window, so a run uses its
+whole budget; state.sigma is 1/alpha of the next step.
 """
 
 from __future__ import annotations
@@ -65,35 +67,32 @@ class BaselineConfig:
         return self.alpha
 
 
-def proxgen_step(p, reg: Regularizer, x, alpha, sampler, batch, r_x=None):
-    """x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
+def proxgen_step(reg: Regularizer, x, g, alpha, r_x=None):
+    """ProxGEN's update with the identity metric:
+    x' = x + argmin_s g^T s + (1/(2 alpha))||s||^2 + R(x+s).
 
-    x is a finite point of shape (n,), which is not checked here.  The
-    sample is the next batch of sampler (a problems.Sampler).  r_x is R(x)
-    if the caller holds it (see shifted_prox).  Returns x', the prox step
-    and (sample, f(x) on the sample)."""
+    x is a finite point of shape (n,) and g a sampled gradient at it, which
+    are not checked here.  r_x is R(x) if the caller holds it (see
+    shifted_prox).  Returns x' and the prox step."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sample = p.draw(sampler, batch)
-    f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0 / alpha, r_x)
-    return x + step.s, step, (sample, f)
+    return x + step.s, step
 
 
-def proxsgd_step(p, reg: Regularizer, x, alpha, sampler, batch, r_x=None):
-    """Unit-quadratic subproblem followed by interpolation:
-    s = argmin_s g^T s + (1/2)||s||^2 + R(x+s);  x' = x + alpha * s.
-    Only defined for convex regularizers.  Returns as proxgen_step."""
+def proxsgd_step(reg: Regularizer, x, g, alpha, r_x=None):
+    """ProxSGD's update: a unit-quadratic subproblem followed by
+    interpolation, s = argmin_s g^T s + (1/2)||s||^2 + R(x+s);
+    x' = x + alpha * s.  Only defined for convex regularizers.  Takes and
+    returns as proxgen_step."""
     if not reg.convex:
         raise UnsupportedRegularizerError(
             f"proxsgd requires a convex regularizer, got {reg}"
         )
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    sample = p.draw(sampler, batch)
-    f, g = sample._value_and_grad(x)
     step = shifted_prox(reg, x, g, 1.0, r_x)
-    return x + alpha * step.s, step, (sample, f)
+    return x + alpha * step.s, step
 
 
 def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
@@ -103,12 +102,13 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     x, at_x = state.x, state.point
     alpha = cfg.step_size(state.t + 1)
     r_x = at_x.reg_value(reg)
-    x_new, step, (sample, f) = stepper(p, reg, x, alpha, state.sampler,
-                                       state.batch_size, r_x)
+    sample = p.draw(state.sampler, state.batch_size)
+    f, g = at_x.value_and_grad(sample)
+    x_new, step = stepper(reg, x, g, alpha, r_x)
     s = x_new - x
     step_norm_sq = float(s.dot(s))
     at_new = _Point.stepped(x_new, p.n, step_norm_sq)
-    F_full = at_x.full_value(p) + r_x if cfg.record_full_objective else None
+    F_full = at_x.value(p.full) + r_x if cfg.record_full_objective else None
     state.point = at_new
     state.t += 1
     state.sigma = 1.0 / cfg.step_size(state.t + 1)
@@ -119,7 +119,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
         step_norm_sq=step_norm_sq,
         accepted=True,
         F_sampled_before=f + r_x,
-        F_sampled_after=at_new.value_on(p, sample) + at_new.reg_value(reg),
+        F_sampled_after=at_new.value(sample) + at_new.reg_value(reg),
         F_full=F_full,
         model_decrease=step.model_decrease,
         batch_size=state.batch_size,

@@ -378,11 +378,10 @@ def _run_cell(spec, p, solver, reg, seed):
 def _objective_and_accuracy(p, x):
     """f(x) and the accuracy of x (None without labels), both from one
     forward pass over the data."""
-    full = p.sample(problems.ALL)
-    fwd = full.forward(x)
+    fwd = p.full.forward(x)
     acc = (None if p.labels is None else
            diagnostics.accuracy_of_margins(p._margins_of(fwd), p.labels))
-    return full.value_of(fwd), acc
+    return p.full.value_of(fwd), acc
 
 
 def _prune_sweep(p, x, acc, thresholds):

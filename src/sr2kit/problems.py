@@ -10,18 +10,21 @@ Evaluation has one path.  Problem.sample(idx) checks the index set once
 and gathers its rows once (A.take, the bytes of A[idx] for less
 overhead); the Sample's value and gradient at x both come from one
 forward pass (the residual, minus the margin, or the network's hidden
-layer and output), and every public evaluation checks x.  sample(ALL) is
-the whole data set, read in place with no copy; the stored data is
-C-ordered, so it gives bitwise the same numbers as the index set
-{0..N-1}, which is copied.  full_value/full_grad/sampled_value/sampled_grad
-are thin checked wrappers over this path.
+layer and output), and every public evaluation checks x.  The whole data
+set is an ordinary Sample too, Problem.full (also sample(ALL)), whose rows
+are the stored A and y, read in place with no copy: a sample is the full
+one when its rows[0] is A.  The stored data is C-ordered, so it gives
+bitwise the same numbers as the index set {0..N-1}, which is copied.
+full_value/full_grad/sampled_value/sampled_grad are thin checked wrappers
+over this path.
 
 The solvers take a cheaper way through it.  Problem.draw(sampler, batch)
 gathers the rows of draw_sample's indices without checking them again
 (they are sorted, unique and in range by construction; a batch of N is
-read in place, as by sample(ALL)), and the solvers check each point once,
+Problem.full and draws nothing), and the solvers check each point once,
 when they make it (a step's new point by its step norm), then evaluate it
-with the unchecked Sample._forward.
+through its sr2._Point, the one place that keeps values at a point, and
+only those on the full sample.
 
 Minibatches are drawn by random reshuffling: a run's Sampler draws one
 permutation of {0..N-1} at its first minibatch draw and cuts it into
@@ -92,7 +95,7 @@ def _check_point(x, n):
     return x
 
 
-#: index for "every sample": basic slicing, so the data is read in place
+#: index for "every sample": sample(ALL) is Problem.full
 ALL = slice(None)
 
 
@@ -117,10 +120,10 @@ class Problem:
     and its targets y.
 
     Subclasses set n and write their math once: _forward(x, rows) is the
-    forward pass on the data rows (A[idx], y[idx]) of idx, and
-    _loss(fwd, rows) and _backward(fwd, rows) give the per-sample losses
-    and the mean gradient from it.  idx is a sorted, unique, in-range index
-    array, or ALL for the whole data set without a copy.
+    forward pass on the data rows (A[idx], y[idx]) of a sorted, unique,
+    in-range index array idx, or on (A, y) themselves for the full sample,
+    and _loss(fwd, rows) and _backward(fwd, rows) give the per-sample
+    losses and the mean gradient from it.
 
     L_bound is a Lipschitz bound on the full gradient, or None.  Where a
     subclass can compute one, it does so on first read, from the stored A,
@@ -150,9 +153,12 @@ class Problem:
             raise ValueError(f"expected {self.N} targets, got shape {self.y.shape}")
         self.name = name
 
+    @property
+    def full(self):
+        """The whole data set as a Sample, read in place with no copy."""
+        return Sample(self, (self.A, self.y))
+
     def _rows(self, idx):
-        if idx is ALL:
-            return self.A, self.y
         return self.A.take(idx, axis=0), self.y[idx]
 
     def _forward(self, x, rows):
@@ -165,24 +171,25 @@ class Problem:
         raise NotImplementedError
 
     def sample(self, idx):
-        """The terms on the index set idx (ALL: every term), checked and
-        gathered once."""
-        if idx is not ALL:
-            idx = _check_indices(idx, self.N)
-        return Sample(self, self._rows(idx))
+        """The terms on the index set idx, checked and gathered once; ALL
+        is the full sample."""
+        if idx is ALL:
+            return self.full
+        return Sample(self, self._rows(_check_indices(idx, self.N)))
 
     def draw(self, sampler, batch):
         """The next sample of batch terms from sampler (draw_sample),
         gathered once; its indices need no check.  A batch of N is the
-        whole data set, read in place as by sample(ALL)."""
-        idx = draw_sample(sampler, self.N, batch)
-        return Sample(self, self._rows(ALL if batch == self.N else idx))
+        full sample and draws nothing."""
+        if batch == self.N:
+            return self.full
+        return Sample(self, self._rows(draw_sample(sampler, self.N, batch)))
 
     def full_value(self, x):
-        return self.sample(ALL).value(x)
+        return self.full.value(x)
 
     def full_grad(self, x):
-        return self.sample(ALL).grad(x)
+        return self.full.grad(x)
 
     def sampled_value(self, x, idx):
         return self.sample(idx).value(x)
@@ -362,8 +369,7 @@ class TinyMLP(Problem):
         return np.concatenate([dW1.ravel(), db1, dw2, [db2]])
 
     def margins(self, x):
-        return self._margins_of(
-            self._forward(np.asarray(x, dtype=float), self._rows(ALL)))
+        return self._margins_of(self.full._forward(np.asarray(x, dtype=float)))
 
     def _margins_of(self, fwd):
         if self.task != "classification":

@@ -6,27 +6,28 @@ predicted decrease (rho), and accepts or rejects the step while adapting
 sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
-Minibatch: each step draws one sample (Problem.draw: one gather of its
-rows, whose drawn indices are not checked again); f(x) and the gradient
-on it come from one forward pass, and f(x + s) on the same sample costs
-one more forward pass.  Samples come from the run's Sampler (random
-reshuffling, see problems): consecutive batches of one permutation of the
-data, and a new permutation when the next batch does not fit in the rest,
-also after the guard doubles the batch.  Batches of one permutation are
-disjoint, so not independent as SR2's analysis assumes.
+Each step draws one sample (Problem.draw) and asks the iterate's _Point
+for f(x) and the gradient on it, from one forward pass; f(x + s) on the
+same sample costs one more forward pass.  A minibatch is one gather of
+rows, whose drawn indices are not checked again, from the run's Sampler
+(random reshuffling, see problems): consecutive batches of one
+permutation of the data, and a new permutation when the next batch does
+not fit in the rest, also after the guard doubles the batch.  Batches of
+one permutation are disjoint, so not independent as SR2's analysis
+assumes.
 
 Each point is checked once, when it is made: x0 in full in _drive, each
 trial point x + s by its step norm (_Point.stepped: x is finite, so a
 finite ||s||^2 shows x + s finite).  No evaluation checks it again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
-no sample is drawn and the RNG is left untouched (a run that starts at N
-never makes its Sampler); the data set is read in
-place; and the forward pass, f(x), the gradient and R(x) are kept while x
-is unchanged, so a rejected step only changes sigma and takes one prox
-step, as in the deterministic R2.  The forward pass computed for f(x + s)
-is kept with the trial point, so an accepted point's gradient needs no
-second forward pass.  Any full objective f(x) + R(x) (rho_mode="full",
+the sample is the problem's full one, Problem.full, read in place, and
+the RNG is left untouched.  _Point keeps R(x) and, on the full sample
+only, the forward pass, f(x) and the gradient while x is unchanged, so a
+rejected step only changes sigma and takes one prox step, as in the
+deterministic R2.  The forward pass computed for f(x + s) is kept with
+the trial point, so an accepted point's gradient needs no second forward
+pass.  Any full objective f(x) + R(x) (rho_mode="full",
 record_full_objective, the "full" assumption guard) is evaluated at most
 once per iterate in every mode.
 
@@ -55,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleAnchorError, NumericalFailureError
-from .problems import ALL, Sampler, _check_point
+from .problems import Sampler, _check_point
 from .regularizers import Regularizer, reg_value, shifted_prox
 
 __all__ = [
@@ -114,11 +115,12 @@ class SolverConfig:
 
 class _Point:
     """A point, checked as it is made (in full, or by its step norm: see
-    stepped), with the values at it that do not depend on the sample: R(x)
-    and the full-batch forward pass, f(x) and gradient, each computed on
-    first use.  SolverState holds the iterate only as its _Point, so
-    rejected steps reuse these values; an accepted step replaces the
-    _Point with the trial point's (no x is written in place)."""
+    stepped), and the one place that decides what is kept at it: R(x), and
+    on the problem's full sample the forward pass, f(x) and the gradient,
+    each computed on first use.  Values on any other sample are computed
+    afresh.  SolverState holds the iterate only as its _Point, so rejected
+    steps reuse these values; an accepted step replaces the _Point with
+    the trial point's (no x is written in place)."""
 
     __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
@@ -143,28 +145,23 @@ class _Point:
             self._r = reg_value(reg, self.x)
         return self._r
 
-    def _forward(self, full):
-        if self._fwd is None:
-            self._fwd = full._forward(self.x)
-        return self._fwd
-
-    def full_value(self, p):
+    def value(self, sample):
+        """f(x) on sample (a problems.Sample)."""
+        if sample.rows[0] is not sample.problem.A:
+            return sample.value_of(sample._forward(self.x))
         if self._f is None:
-            full = p.sample(ALL)
-            self._f = full.value_of(self._forward(full))
+            self._fwd = sample._forward(self.x)
+            self._f = sample.value_of(self._fwd)
         return self._f
 
-    def full_grad(self, p):
+    def value_and_grad(self, sample):
+        """f(x) and its gradient on sample, from one forward pass."""
+        if sample.rows[0] is not sample.problem.A:
+            return sample._value_and_grad(self.x)
+        f = self.value(sample)
         if self._g is None:
-            full = p.sample(ALL)
-            self._g = full.grad_of(self._forward(full))
-        return self._g
-
-    def value_on(self, p, sample):
-        """f on the sample; None stands for the full batch."""
-        if sample is None:
-            return self.full_value(p)
-        return sample.value_of(sample._forward(self.x))
+            self._g = sample.grad_of(self._fwd)
+        return f, self._g
 
 
 @dataclass
@@ -265,15 +262,8 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     sigma = state.sigma
     batch = state.batch_size
     r_x = at_x.reg_value(reg)
-    if batch == p.N:
-        # the sample is {0..N-1}: no draw, and f and g at an unchanged x
-        # are reused from the rejected steps before
-        sample = None
-        g = at_x.full_grad(p)
-        f_before = at_x.full_value(p)
-    else:
-        sample = p.draw(state.sampler, batch)
-        f_before, g = sample._value_and_grad(x)
+    sample = p.draw(state.sampler, batch)
+    f_before, g = at_x.value_and_grad(sample)
     step = shifted_prox(reg, x, g, sigma, r_x)
     F_before = f_before + r_x
     s = step.s
@@ -287,11 +277,11 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     if cfg.assumption_check != "off" and step_norm_sq > 0.0:
         kappa = _resolve_kappa(cfg, p)
         if cfg.assumption_check == "full":
-            f_ref0 = at_x.full_value(p)
-            f_ref1 = trial.full_value(p)
+            f_ref0 = at_x.value(p.full)
+            f_ref1 = trial.value(p.full)
         else:  # sampled-proxy: same-batch sampled objective
             f_ref0 = f_before
-            f_ref1 = f_after = trial.value_on(p, sample)
+            f_ref1 = f_after = trial.value(sample)
         if abs(f_ref1 - f_ref0 - float(g.dot(s))) > kappa * step_norm_sq:
             assumption_rejected = True
             s = np.zeros_like(s)
@@ -300,7 +290,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
 
     F_full = None
     if cfg.rho_mode == "full" or cfg.record_full_objective:
-        F_full = at_x.full_value(p) + r_x
+        F_full = at_x.value(p.full) + r_x
 
     if assumption_rejected or step_norm_sq == 0.0:
         rho = 0.0
@@ -309,11 +299,11 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
         delta_psi = 0.0
     else:
         if f_after is None:
-            f_after = trial.value_on(p, sample)
+            f_after = trial.value(sample)
         F_after = f_after + step.reg_at_target
         delta_psi = step.model_decrease
         if cfg.rho_mode == "full":
-            delta_F = F_full - (trial.full_value(p) + step.reg_at_target)
+            delta_F = F_full - (trial.value(p.full) + step.reg_at_target)
         else:
             delta_F = F_before - F_after
         if not math.isfinite(delta_F):

@@ -17,6 +17,12 @@ from sr2kit.regularizers import L0, L1, L0Ball, Zero, shifted_prox
 from conftest import lasso_objective
 
 
+def sampled_grad(p, x, seed, batch):
+    """The gradient at x on the first batch a fresh Sampler(seed) draws."""
+    return p.sampled_grad(
+        x, draw_sample(Sampler(np.random.default_rng(seed)), p.N, batch))
+
+
 @pytest.fixture
 def small_problem():
     rng = np.random.default_rng(20)
@@ -28,19 +34,16 @@ class TestProxGen:
         p = small_problem
         alpha = 0.0625  # power of two so 1/alpha and g/(1/alpha) are exact
         x = np.zeros(6)
-        x_new, _, _ = proxgen_step(p, Zero(), x, alpha,
-                                   Sampler(np.random.default_rng(1)), 8)
-        idx = draw_sample(Sampler(np.random.default_rng(1)), p.N, 8)
-        expected = x - alpha * p.sampled_grad(x, idx)
+        g = sampled_grad(p, x, 1, 8)
+        x_new, _ = proxgen_step(Zero(), x, g, alpha)
+        expected = x - alpha * g
         np.testing.assert_array_equal(x_new, expected)
 
     def test_is_shifted_prox_at_inverse_alpha(self, small_problem):
         p = small_problem
         alpha, x = 0.1, np.ones(6)
-        x_new, _, _ = proxgen_step(p, L1(0.3), x, alpha,
-                                   Sampler(np.random.default_rng(2)), 8)
-        idx = draw_sample(Sampler(np.random.default_rng(2)), p.N, 8)
-        g = p.sampled_grad(x, idx)
+        g = sampled_grad(p, x, 2, 8)
+        x_new, _ = proxgen_step(L1(0.3), x, g, alpha)
         st = shifted_prox(L1(0.3), x, g, 1.0 / alpha)
         np.testing.assert_array_equal(x_new, x + st.s)
 
@@ -58,24 +61,23 @@ class TestProxGen:
 
     def test_nonpositive_alpha(self, small_problem):
         with pytest.raises(ValueError):
-            proxgen_step(small_problem, Zero(), np.zeros(6), 0.0,
-                         Sampler(np.random.default_rng(0)), 4)
+            proxgen_step(Zero(), np.zeros(6),
+                         sampled_grad(small_problem, np.zeros(6), 0, 4), 0.0)
 
 
 class TestProxSGD:
     def test_zero_reg_is_plain_sg(self, small_problem):
         p = small_problem
         alpha, x = 0.25, np.zeros(6)
-        x_new, _, _ = proxsgd_step(p, Zero(), x, alpha,
-                                   Sampler(np.random.default_rng(3)), 8)
-        idx = draw_sample(Sampler(np.random.default_rng(3)), p.N, 8)
-        expected = x - alpha * p.sampled_grad(x, idx)
+        g = sampled_grad(p, x, 3, 8)
+        x_new, _ = proxsgd_step(Zero(), x, g, alpha)
+        expected = x - alpha * g
         np.testing.assert_allclose(x_new, expected)
 
     def test_nonconvex_rejected(self, small_problem):
         with pytest.raises(UnsupportedRegularizerError):
-            proxsgd_step(small_problem, L0(0.5), np.zeros(6), 0.5,
-                         Sampler(np.random.default_rng(0)), 4)
+            proxsgd_step(L0(0.5), np.zeros(6),
+                         sampled_grad(small_problem, np.zeros(6), 0, 4), 0.5)
         with pytest.raises(UnsupportedRegularizerError):
             run_proxsgd(small_problem, L0Ball(2), np.zeros(6),
                         BaselineConfig(alpha=0.5))
@@ -83,22 +85,20 @@ class TestProxSGD:
     def test_alpha_one_matches_proxgen(self, small_problem):
         p = small_problem
         x = 0.3 * np.ones(6)
-        a, _, _ = proxsgd_step(p, L1(0.2), x, 1.0,
-                               Sampler(np.random.default_rng(4)), 8)
-        b, _, _ = proxgen_step(p, L1(0.2), x, 1.0,
-                               Sampler(np.random.default_rng(4)), 8)
+        g = sampled_grad(p, x, 4, 8)
+        a, _ = proxsgd_step(L1(0.2), x, g, 1.0)
+        b, _ = proxgen_step(L1(0.2), x, g, 1.0)
         np.testing.assert_allclose(a, b)
 
     def test_alpha_range(self, small_problem):
         with pytest.raises(ValueError):
-            proxsgd_step(small_problem, L1(0.1), np.zeros(6), 1.5,
-                         Sampler(np.random.default_rng(0)), 4)
+            proxsgd_step(L1(0.1), np.zeros(6),
+                         sampled_grad(small_problem, np.zeros(6), 0, 4), 1.5)
 
     def test_l1_output_feasible_and_prox_certified(self, small_problem):
         p = small_problem
         x = np.ones(6)
-        x_new, step, _ = proxsgd_step(p, L1(0.2), x, 0.5,
-                                      Sampler(np.random.default_rng(5)), 8)
+        x_new, step = proxsgd_step(L1(0.2), x, sampled_grad(p, x, 5, 8), 0.5)
         assert np.isfinite(x_new).all()
         # the intermediate subproblem solution satisfies the model-decrease
         # certificate at sigma = 1

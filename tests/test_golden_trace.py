@@ -547,6 +547,33 @@ def test_full_batch_baseline_reads_the_data_in_place(lasso_instance, solver,
     assert p.calls["full_backward"] == 100
 
 
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("solver,reference", [
+    (run_proxgen, reference_proxgen), (run_proxsgd, reference_proxsgd)])
+def test_full_batch_baseline_evaluates_each_iterate_once(
+        lasso_instance, index_checks, monkeypatch, solver, reference, record):
+    # the forward pass of x' made for the trace's f(x') is the one that the
+    # next step's f(x), gradient and F_full read: T steps make T + 1 forward
+    # and T backward passes, with no draw, no gather and the RNG untouched
+    A, b, lam = lasso_instance["A"], lasso_instance["b"], lasso_instance["lam"]
+    T = 50
+    cfg = BaselineConfig(alpha=0.01, batch_size=len(b), max_iter=T, seed=0,
+                         record_full_objective=record)
+    assert_same_trace(LeastSquares(A, b), L1(lam), np.zeros(A.shape[1]), cfg,
+                      reference, solver)
+    index_checks.clear()  # of the reference's samples
+    draws = counted(monkeypatch, problems, "draw_sample")
+    p = CountingLeastSquares(A, b)
+    res = solver(p, L1(lam), np.zeros(p.n), cfg)
+    assert len(res.trace) == T
+    assert p.calls["full_forward"] == T + 1
+    assert p.calls["full_backward"] == T
+    assert p.calls["gather"] == p.calls["sample_forward"] == 0
+    assert draws["draw_sample"] == index_checks["check"] == 0
+    fresh = np.random.default_rng(cfg.seed).bit_generator.state
+    assert res.state.rng.bit_generator.state == fresh
+
+
 def test_rng_untouched_after_batch_reaches_n():
     p = guard_problem()
     cfg = SolverConfig(batch_size=1, max_iter=200, seed=3,

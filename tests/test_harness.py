@@ -567,6 +567,50 @@ def test_trace_columns_are_the_record_fields():
                  for name in fields) == harness.TRACE_COLUMNS
 
 
+EDGE_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+     math.inf, -math.inf])
+
+
+def parse_trace_field(field, text):
+    """A trace CSV field back as the IterationRecord value written to it."""
+    if field.type == "bool":
+        return {"1": True, "0": False}[text]
+    if field.type == "int":
+        return int(text)
+    return None if text == "" and field.type == "float | None" else float(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    sr2.IterationRecord, t=st.integers(0, 2**63), sigma_used=EDGE_FLOATS,
+    rho=EDGE_FLOATS | st.just(math.nan), step_norm_sq=EDGE_FLOATS,
+    accepted=st.booleans(), F_sampled_before=EDGE_FLOATS,
+    F_sampled_after=EDGE_FLOATS, F_full=st.none() | EDGE_FLOATS,
+    model_decrease=EDGE_FLOATS, batch_size=st.integers(1, 2**31),
+    assumption_rejected=st.booleans(), nnz=st.integers(0, 2**31),
+    wall_time=EDGE_FLOATS), max_size=5))
+def test_trace_csv_round_trips_every_value_bitwise(tmp_path_factory, trace):
+    # NaN rho (the baselines'), None F_full, infinities, -0.0, subnormals
+    # and the float max come back from the file with their bits and types
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    harness.write_trace_csv(path, trace)
+    cols, rows = read_trace_csv(path)
+    assert tuple(cols) == harness.TRACE_COLUMNS
+    assert len(rows) == len(trace)
+    fields = dataclasses.fields(sr2.IterationRecord)
+    for rec, row in zip(trace, rows):
+        for field, text in zip(fields, row, strict=True):
+            want = getattr(rec, field.name)
+            got = parse_trace_field(field, text)
+            assert type(got) is type(want), field.name
+            if isinstance(want, float):
+                assert (np.float64(got).tobytes()
+                        == np.float64(want).tobytes()), field.name
+            else:
+                assert got == want, field.name
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["least_squares", "logistic", "mlp_regression",
                              "mlp_classification"]),

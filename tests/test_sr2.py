@@ -141,6 +141,34 @@ def test_trace_holds_each_verdict(make, reg, N, batch_draw, epsilon, sigma0,
         assert not r.assumption_rejected
 
 
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(20, 200), n=st.integers(5, 60), quarter=st.booleans(),
+       reg=st.sampled_from([L1, L0]), lam=st.sampled_from([1e-3, 0.05]),
+       k=st.sampled_from([-3, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_least_squares_scale_covariance(N, n, quarter, reg, lam, k, seed):
+    # SR2 needs no Lipschitz constant: with c = 2^k, A -> cA and b -> cb
+    # scale f, g and every model term by c^2 exactly, as lam, sigma0 and
+    # sigma_min -> c^2 times theirs do R and sigma, so the run is the same
+    # bit for bit with sigma times c^2 (the stop compares ||s||^2, which does
+    # not change, with an unchanged epsilon^2), at full and at quarter batch
+    rng = np.random.default_rng(seed)
+    A, b = rng.normal(size=(N, n)), rng.normal(size=N)
+    c2 = 2.0 ** (2 * k)
+    cfg = dict(batch_size=N // 4 if quarter else N, max_iter=150, seed=seed)
+    res = run(LeastSquares(A, b), reg(lam), np.zeros(n), SolverConfig(**cfg))
+    scaled = run(LeastSquares(2.0**k * A, 2.0**k * b), reg(c2 * lam),
+                 np.zeros(n), SolverConfig(sigma0=c2 * SolverConfig.sigma0,
+                                           sigma_min=c2 * SolverConfig.sigma_min,
+                                           **cfg))
+    assert scaled.stop_reason == res.stop_reason
+    assert scaled.x.tobytes() == res.x.tobytes()
+    assert len(scaled.trace) == len(res.trace)
+    for got, want in zip(scaled.trace, res.trace):
+        assert (got.t, got.accepted) == (want.t, want.accepted)
+        assert float(got.rho).hex() == float(want.rho).hex()
+        assert float(got.sigma_used).hex() == float(c2 * want.sigma_used).hex()
+
+
 def test_state_holds_the_iterate_once():
     p = quadratic_1d()
     res = run(p, Zero(), np.array([1.0]), full_batch_cfg(max_iter=1))
