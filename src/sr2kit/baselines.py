@@ -16,8 +16,9 @@ evaluates the trace's f(x') on the same sample through the new point's
 _Point.  So at full batch the forward pass of x' made for the trace is
 the one the next step's gradient reads.  Each point is checked once, as
 its _Point is made: x0 in full, each x' by the step norm ||x' - x||^2
-that the trace records.  No step adds to the window, so a run uses its
-whole budget; state.sigma is 1/alpha of the next step.
+that the trace records, and a BaselineConfig once, as it is made.  No
+step adds to the window, so a run uses its whole budget; state.sigma is
+1/alpha of the next step.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
     alpha: float = 1e-3
     schedule: str = "constant"   # "constant" | "inverse-sqrt"
@@ -50,15 +51,15 @@ class BaselineConfig:
     seed: int = 0
     record_full_objective: bool = False
 
-    def validated(self):
+    def __post_init__(self):
         if not 0 < self.alpha < np.inf:
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
         if self.schedule not in ("constant", "inverse-sqrt"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        return self
+        for key, low in (("batch_size", 1), ("max_iter", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
 
     def step_size(self, t):
         """Step size at iteration t (1-based)."""
@@ -107,7 +108,7 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
     x_new, step = stepper(reg, x, g, alpha, r_x)
     s = x_new - x
     step_norm_sq = float(s.dot(s))
-    at_new = _Point.stepped(x_new, p.n, step_norm_sq)
+    at_new = _Point(x_new, p.n, step_norm_sq)
     F_full = at_x.value(p.full) + r_x if cfg.record_full_objective else None
     state.point = at_new
     state.t += 1
@@ -130,12 +131,10 @@ def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
 
 
 def run_proxgen(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    cfg = cfg.validated()
     return _drive(p, reg, x0, cfg, partial(_step, proxgen_step),
                   1.0 / cfg.step_size(1))
 
 
 def run_proxsgd(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    cfg = cfg.validated()
     return _drive(p, reg, x0, cfg, partial(_step, proxsgd_step),
                   1.0 / cfg.step_size(1))

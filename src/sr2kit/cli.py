@@ -4,6 +4,7 @@ and rebuild summaries from the rows saved per cell."""
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -44,16 +45,18 @@ def _cmd_run(args):
     return 1 if any("error" in row for row in summary) else 0
 
 
-def _jobs(text):
-    """--jobs: an integer from 1 to the number of CPUs."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise argparse.ArgumentTypeError(f"must be in [1, {cpus}], got {jobs}")
-    return jobs
+def _integer(low, high=math.inf):
+    """An argparse type: an integer from low to high."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{low}, {high}], got {value}")
+        return value
+    return parse
 
 
 def _alpha(text):
@@ -102,11 +105,11 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="execute an experiment matrix")
     p_run.add_argument("--config", required=True, help="YAML experiment config")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=_jobs, default=1,
+    p_run.add_argument("--jobs", type=_integer(1, os.cpu_count() or 1), default=1,
                        help="max parallel cells, 1 to the CPU count (default 1)")
     p_run.add_argument("--dry-run", action="store_true",
                        help="list planned cells without running")
-    p_run.add_argument("--seed-override", type=int, default=None,
+    p_run.add_argument("--seed-override", type=_integer(0), default=None,
                        help="replace config seeds with a single seed")
     p_run.set_defaults(func=_cmd_run)
 

@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import baselines, diagnostics, problems, sr2
-from .errors import ParseError, UnsupportedMetricError
+from .errors import ParseError
 from .regularizers import L0, L1, L0Ball, Zero, reg_value
 
 __all__ = [
@@ -214,7 +214,7 @@ def parse_config(path):
             del section["alpha"]  # the default: resolved per problem
         solvers[name] = _read_keys(f"solvers.{name}", section, hints)
         try:
-            config_class(**solvers[name]).validated()
+            config_class(**solvers[name])
         except ValueError as exc:
             raise ParseError(f"[solvers.{name}] {exc}") from None
 
@@ -223,6 +223,8 @@ def parse_config(path):
                                 {key: hints[key] for key in _RUN})}
     if not run["seeds"]:
         raise ParseError("run.seeds must be nonempty")
+    if min(run["seeds"]) < 0:
+        raise ParseError(f"run.seeds must be >= 0, got {min(run['seeds'])}")
     _check_low("run", run, (("batch_size", 1), ("max_iter", 0), ("epochs", 0)))
     if run["max_iter"] is not None and run["epochs"] is not None:
         raise ParseError("run takes max_iter or epochs, not both")
@@ -386,18 +388,16 @@ def _objective_and_accuracy(p, x):
 
 def _prune_sweep(p, x, acc, thresholds):
     """Per-threshold (alpha, sparsity %, accuracy or None) rows, given the
-    accuracy acc of x.  Each distinct model is scored once: most thresholds
-    prune the same weights, and the smallest often none."""
+    accuracy acc of x, None throughout when acc is.  Each distinct model
+    is scored once: most thresholds prune the same weights, and the
+    smallest often none."""
     scores = {x.tobytes(): acc}  # model bytes -> accuracy or None
 
     def score(model):
         key = model.tobytes()
-        if key not in scores:
-            try:
-                scores[key] = diagnostics.accuracy(p, model)
-            except (UnsupportedMetricError, NotImplementedError):
-                scores[key] = None
-        return scores[key]
+        if acc is not None and key not in scores:
+            scores[key] = diagnostics.accuracy(p, model)
+        return scores.get(key)
 
     rows = []
     for alpha in thresholds:

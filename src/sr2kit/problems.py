@@ -299,7 +299,7 @@ class Logistic(Problem):
         return (Ai.T @ coef) / Ai.shape[0]
 
     def margins(self, x):
-        return self.A @ np.asarray(x, dtype=float)
+        return self.A @ _check_point(x, self.n)
 
     def _margins_of(self, z):
         # z = -(y * (A x)) and y is +/-1: the negation and both products
@@ -369,7 +369,7 @@ class TinyMLP(Problem):
         return np.concatenate([dW1.ravel(), db1, dw2, [db2]])
 
     def margins(self, x):
-        return self._margins_of(self.full._forward(np.asarray(x, dtype=float)))
+        return self._margins_of(self.full.forward(x))
 
     def _margins_of(self, fwd):
         if self.task != "classification":

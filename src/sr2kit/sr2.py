@@ -16,9 +16,10 @@ not fit in the rest, also after the guard doubles the batch.  Batches of
 one permutation are disjoint, so not independent as SR2's analysis
 assumes.
 
-Each point is checked once, when it is made: x0 in full in _drive, each
-trial point x + s by its step norm (_Point.stepped: x is finite, so a
-finite ||s||^2 shows x + s finite).  No evaluation checks it again.
+Each point is checked once, when its _Point is made: x0 in full in
+_drive, each trial point x + s by its step norm (x is finite, so a
+finite ||s||^2 shows x + s finite).  No evaluation checks it again, and
+a config is checked once, when it is made.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
 the sample is the problem's full one, Problem.full, read in place, and
@@ -71,7 +72,7 @@ __all__ = [
     "run",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     eta1: float = 7.5e-4
     eta2: float = 0.99
@@ -89,56 +90,47 @@ class SolverConfig:
     window: int = 25
     record_full_objective: bool = False  # audit column even in sampled mode
 
-    def validated(self):
+    def __post_init__(self):
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not 0 < self.gamma3 <= 1 < self.gamma1:
-            raise ValueError("need 0 < gamma3 <= 1 < gamma1")
-        if not self.sigma0 >= self.sigma_min > 0:
-            raise ValueError("need sigma0 >= sigma_min > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 0 < self.gamma3 <= 1 < self.gamma1 < math.inf:
+            raise ValueError("need 0 < gamma3 <= 1 < gamma1 < inf")
+        if not math.inf > self.sigma0 >= self.sigma_min > 0:
+            raise ValueError("need sigma0 >= sigma_min > 0, sigma0 finite")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        for key, low in (("batch_size", 1), ("max_iter", 0), ("seed", 0),
+                         ("window", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         if self.rho_mode not in ("sampled", "full"):
             raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
         if self.assumption_check not in ("off", "full", "sampled-proxy"):
             raise ValueError(f"unknown assumption_check {self.assumption_check!r}")
         if self.kappa_m != "auto" and not (
-            isinstance(self.kappa_m, (int, float)) and self.kappa_m > 0
+            isinstance(self.kappa_m, (int, float)) and 0 < self.kappa_m < math.inf
         ):
-            raise ValueError("kappa_m must be positive or 'auto'")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        return self
+            raise ValueError("kappa_m must be positive or 'auto' (finite if a number)")
 
 
 class _Point:
-    """A point, checked as it is made (in full, or by its step norm: see
-    stepped), and the one place that decides what is kept at it: R(x), and
-    on the problem's full sample the forward pass, f(x) and the gradient,
-    each computed on first use.  Values on any other sample are computed
-    afresh.  SolverState holds the iterate only as its _Point, so rejected
-    steps reuse these values; an accepted step replaces the _Point with
-    the trial point's (no x is written in place)."""
+    """A point x, checked as it is made: in full, unless a step from a
+    finite iterate x_k made it and step_norm_sq = ||x - x_k||^2 is finite
+    (x_k,i + s_i overflows only if s_i^2 does).  It is the one place that
+    decides what is kept at x: R(x), and on the problem's full sample the
+    forward pass, f(x) and the gradient, each computed on first use.
+    Values on any other sample are computed afresh.  SolverState holds the
+    iterate only as its _Point, so rejected steps reuse these values; an
+    accepted step replaces the _Point with the trial point's (no x is
+    written in place)."""
 
     __slots__ = ("x", "_r", "_fwd", "_f", "_g")
 
-    def __init__(self, x, n):
-        self.x = _check_point(x, n)
+    def __init__(self, x, n, step_norm_sq=None):
+        if step_norm_sq is None or not step_norm_sq < math.inf:
+            x = _check_point(x, n)
+        self.x = x
         self._r = self._fwd = self._f = self._g = None
-
-    @classmethod
-    def stepped(cls, x, n, step_norm_sq):
-        """The point x a step makes from its iterate x_k, checked by its
-        step_norm_sq = ||x - x_k||^2 (x_k,i + s_i overflows only if s_i^2
-        does): only a NaN or inf norm needs the full check."""
-        if not step_norm_sq < math.inf:
-            return cls(x, n)
-        point = cls.__new__(cls)
-        point.x = x
-        point._r = point._fwd = point._f = point._g = None
-        return point
 
     def reg_value(self, reg):
         if self._r is None:
@@ -269,7 +261,7 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     s = step.s
     step_norm_sq = float(s.dot(s))
     # the trial point is checked as it is made, by its norm
-    trial = (_Point.stepped(x + s, p.n, step_norm_sq)
+    trial = (_Point(x + s, p.n, step_norm_sq)
              if step_norm_sq != 0.0 else None)
     f_after = None  # f(x + s) on this step's sample
 
@@ -284,7 +276,6 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             f_ref1 = f_after = trial.value(sample)
         if abs(f_ref1 - f_ref0 - float(g.dot(s))) > kappa * step_norm_sq:
             assumption_rejected = True
-            s = np.zeros_like(s)
             step_norm_sq = 0.0
             state.batch_size = min(2 * state.batch_size, p.N)
 
@@ -346,8 +337,8 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
     step norms is full with a mean of at most epsilon^2 ("stationarity"),
     until a full-batch step is rejected with s = 0 and not by the guard
     ("zero_step", that record last in the trace), or for max_iter steps
-    ("budget"); cfg is validated.  A step that appends nothing to the
-    window and is always accepted (the baselines') runs to the budget."""
+    ("budget").  A step that appends nothing to the window and is always
+    accepted (the baselines') runs to the budget."""
     at_x0 = _Point(np.array(x0, dtype=float), p.n)
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
@@ -386,5 +377,4 @@ def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
     """Iterate sr2_step until the stationarity estimate drops below
     epsilon^2, a full-batch step is zero, or the iteration budget runs
     out."""
-    cfg = cfg.validated()
     return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window, cfg.epsilon)

@@ -123,4 +123,4 @@ class TestContrastWithSR2:
 
     def test_bad_schedule(self):
         with pytest.raises(ValueError):
-            BaselineConfig(schedule="linear").validated()
+            BaselineConfig(schedule="linear")

@@ -14,7 +14,12 @@ from sr2kit.diagnostics import (
     stationarity_surrogate,
 )
 from sr2kit.errors import UnsupportedMetricError
-from sr2kit.problems import LeastSquares, make_least_squares, make_logistic
+from sr2kit.problems import (
+    LeastSquares,
+    TinyMLP,
+    make_least_squares,
+    make_logistic,
+)
 from sr2kit.regularizers import L1, Zero, shifted_prox
 
 
@@ -104,6 +109,25 @@ class TestAccuracy:
         p = make_least_squares(rng, 20, 4, 0.1)
         with pytest.raises(UnsupportedMetricError):
             accuracy(p, np.zeros(4))
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+    def test_point_is_checked(self, kind, bad):
+        # scoring checks x as every other public evaluation does: a NaN
+        # margin is not >= 0, so it would score as a -1 prediction
+        rng = np.random.default_rng(0)
+        if kind == "logistic":
+            p = make_logistic(rng, 200, 5)
+        else:
+            A = rng.normal(size=(50, 3))
+            p = TinyMLP(A, np.where(A[:, 0] >= 0.0, 1.0, -1.0), hidden=2,
+                        task="classification")
+        x = {"nan": np.full(p.n, np.nan), "inf": np.full(p.n, np.inf),
+             "short": np.zeros(p.n - 1)}[bad]
+        with pytest.raises(ValueError, match="non-finite point|expected shape"):
+            accuracy(p, x)
+        with pytest.raises(ValueError, match="non-finite point|expected shape"):
+            p.margins(x)
 
 
 class TestStationaritySurrogate:

@@ -577,7 +577,7 @@ def test_full_batch_baseline_evaluates_each_iterate_once(
 def test_rng_untouched_after_batch_reaches_n():
     p = guard_problem()
     cfg = SolverConfig(batch_size=1, max_iter=200, seed=3,
-                       assumption_check="full", kappa_m=1e-4).validated()
+                       assumption_check="full", kappa_m=1e-4)
     state = SolverState(point=sr2._Point(np.zeros(6), p.n),
                         sigma=cfg.sigma0, t=0,
                         rng=np.random.default_rng(cfg.seed), batch_size=1,

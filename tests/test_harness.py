@@ -203,6 +203,46 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("sr2kit: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("sr2: {}", "sr2: {max_iter: -4, epsilon: 1e-4}", "max_iter"),
+        ("sr2: {}", "sr2: {epsilon: .nan}", "epsilon"),
+        ("sr2: {}", "sr2: {epsilon: nan}", "epsilon"),
+        ("sr2: {}", "sr2: {sigma0: .inf}", "sigma0"),
+        ("sr2: {}", "sr2: {gamma1: .inf}", "gamma1"),
+        ("sr2: {}", "sr2: {kappa_m: .inf}", "kappa_m"),
+        ("sr2: {}", "proxgen: {max_iter: -3}", "max_iter"),
+        ("seeds: [3]", "seeds: [-1]", "run.seeds"),
+        ("seeds: [3]", "seeds: [3, -2]", "run.seeds"),
+    ], ids=["max_iter", "epsilon_nan", "epsilon_nan_string", "sigma0_inf",
+            "gamma1_inf", "kappa_m_inf", "proxgen_max_iter", "seed",
+            "second_seed"])
+    def test_value_out_of_its_range_exits_2_with_one_line(
+            self, tmp_path, capsys, old, new, key):
+        # the config classes check their own ranges as they are made, and
+        # parse_config turns their ValueError into a ParseError
+        assert old in BASIC_CONFIG
+        cfg_path = write_config(tmp_path, BASIC_CONFIG.replace(old, new))
+        with pytest.raises(ParseError, match=key):
+            harness.parse_config(cfg_path)
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                         "--dry-run"]) == 2
+        assert not out_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("sr2kit: ") and err.count("\n") == 1
+        assert key in err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, BASIC_CONFIG)
+        out_dir = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                      "--dry-run", "--seed-override", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "sr2kit run: error: argument --seed-override: ")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("problem,match", [
         ("kind: data_logistic\n  data: d.csv\n  format: xyz\n",
          "problem.format must be one of csv, libsvm, got 'xyz'"),

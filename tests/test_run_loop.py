@@ -137,19 +137,20 @@ def point_checks(monkeypatch):
     the norm is not finite and the full check follows."""
     calls = []
     check = problems._check_point
-    stepped = sr2._Point.stepped.__func__
+    init = sr2._Point.__init__
 
     def counted_check(x, n):
         calls.append("full")
         return check(x, n)
 
-    def counted_stepped(cls, x, n, step_norm_sq):
-        calls.append("norm" if math.isfinite(step_norm_sq) else "fallback")
-        return stepped(cls, x, n, step_norm_sq)
+    def counted_init(self, x, n, step_norm_sq=None):
+        if step_norm_sq is not None:
+            calls.append("norm" if math.isfinite(step_norm_sq) else "fallback")
+        init(self, x, n, step_norm_sq)
 
     for module in (problems, sr2):
         monkeypatch.setattr(module, "_check_point", counted_check)
-    monkeypatch.setattr(sr2._Point, "stepped", classmethod(counted_stepped))
+    monkeypatch.setattr(sr2._Point, "__init__", counted_init)
     return calls
 
 
@@ -326,12 +327,35 @@ def attribute_reads(tree, skip):
 def test_every_config_field_is_read(config_class):
     # a field that only its own check of values reads changes no run: it
     # is an option the code ignores
-    skip = {(config_class.__name__, "validated")}
+    skip = {(config_class.__name__, "__post_init__")}
     read = set()
     for path in sorted(Path(sr2kit.__file__).parent.glob("*.py")):
         read |= attribute_reads(ast.parse(path.read_text()), skip)
     fields = {f.name for f in dataclasses.fields(config_class)}
     assert sorted(fields - read) == []
+
+
+@pytest.mark.parametrize("config_class,key,value", [
+    (SolverConfig, "epsilon", math.nan), (SolverConfig, "epsilon", math.inf),
+    (SolverConfig, "sigma0", math.inf), (SolverConfig, "gamma1", math.inf),
+    (SolverConfig, "kappa_m", math.inf), (SolverConfig, "kappa_m", math.nan),
+    (SolverConfig, "max_iter", -3), (SolverConfig, "seed", -1),
+    (BaselineConfig, "max_iter", -3), (BaselineConfig, "seed", -1)],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_config_rejects_a_value_out_of_range_when_made(config_class, key,
+                                                       value):
+    # every config that exists is valid wherever it is read, a direct
+    # step call included; a NaN epsilon compares false with everything
+    with pytest.raises(ValueError, match=key):
+        config_class(**{key: value})
+
+
+@pytest.mark.parametrize("config_class", [SolverConfig, BaselineConfig],
+                         ids=lambda c: c.__name__)
+def test_config_cannot_leave_its_range_after_it_is_made(config_class):
+    cfg = config_class(max_iter=0)  # a zero budget is valid
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_iter = -3
 
 
 def test_every_problem_key_is_read():

@@ -22,6 +22,8 @@ from sr2kit.sr2 import (
     update_sigma,
 )
 
+from conftest import lasso_objective
+
 
 def quadratic_1d():
     # f(x) = 1/2 x^2 as a single-row least squares with a = 1, b = 0
@@ -36,7 +38,7 @@ def full_batch_cfg(**kw):
 
 class TestConfigValidation:
     def test_defaults_pass(self):
-        SolverConfig().validated()
+        SolverConfig()
 
     def test_stock_values(self):
         cfg = SolverConfig()
@@ -47,19 +49,19 @@ class TestConfigValidation:
 
     def test_eta_order(self):
         with pytest.raises(ValueError, match="eta1"):
-            SolverConfig(eta1=0.0).validated()
+            SolverConfig(eta1=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(eta1=0.5, eta2=0.4).validated()
+            SolverConfig(eta1=0.5, eta2=0.4)
 
     def test_sigma_order(self):
         with pytest.raises(ValueError):
-            SolverConfig(sigma0=1e-8, sigma_min=1e-6).validated()
+            SolverConfig(sigma0=1e-8, sigma_min=1e-6)
 
     def test_bad_modes(self):
         with pytest.raises(ValueError):
-            SolverConfig(rho_mode="other").validated()
+            SolverConfig(rho_mode="other")
         with pytest.raises(ValueError):
-            SolverConfig(assumption_check="maybe").validated()
+            SolverConfig(assumption_check="maybe")
 
 
 class TestUpdateSigma:
@@ -169,6 +171,23 @@ def test_least_squares_scale_covariance(N, n, quarter, reg, lam, k, seed):
         assert float(got.sigma_used).hex() == float(c2 * want.sigma_used).hex()
 
 
+@pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0,
+                               1e3])
+def test_sigma0_sweep_reaches_the_ista_gap(lasso_instance, c):
+    # SR2 needs no Lipschitz constant: from sigma0 = c L, three decades
+    # either side of L, the full-batch run reaches a relative gap of 1e-6
+    # to the ISTA reference within its budget (first reached after 20, 34,
+    # 9, 7, 16, 36, 193, 292 and 316 steps; see the README)
+    inst = lasso_instance
+    p = LeastSquares(inst["A"], inst["b"])
+    cfg = SolverConfig(batch_size=p.N, max_iter=20_000, epsilon=1e-12,
+                       sigma_min=1e-12, sigma0=c * p.L_bound)
+    res = run(p, L1(inst["lam"]), np.zeros(p.n), cfg)
+    F = lasso_objective(inst["A"], inst["b"], inst["lam"], res.x)
+    assert res.stop_reason != "budget"
+    assert (F - inst["F_ref"]) / abs(inst["F_ref"]) <= 1e-6
+
+
 def test_state_holds_the_iterate_once():
     p = quadratic_1d()
     res = run(p, Zero(), np.array([1.0]), full_batch_cfg(max_iter=1))
@@ -185,7 +204,7 @@ class TestSingleStep:
         # f = 1/2 x^2 at x=1, sigma=1: s = -g/sigma = -1, x+s = 0,
         # DeltaF = 0.5, Deltapsi = -g*s = 1, rho = 0.5 -> accept, sigma holds
         p = quadratic_1d()
-        cfg = full_batch_cfg(max_iter=1).validated()
+        cfg = full_batch_cfg(max_iter=1)
         state = SolverState(point=_Point(np.array([1.0]), p.n), sigma=1.0,
                             t=0, rng=np.random.default_rng(0), batch_size=1,
                             window=deque(maxlen=cfg.window))
@@ -206,7 +225,7 @@ class TestSingleStep:
         lam = 2.0 * np.max(np.abs(g0))
         # KKT check: at x=0, |g|_i <= lam means 0 is prox-stationary
         assert np.max(np.abs(g0)) < lam
-        cfg = full_batch_cfg(max_iter=1).validated()
+        cfg = full_batch_cfg(max_iter=1)
         state = SolverState(point=_Point(np.zeros(5), p.n), sigma=1.0,
                             t=0, rng=np.random.default_rng(0), batch_size=20,
                             window=deque(maxlen=cfg.window))
