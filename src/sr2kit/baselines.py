@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UnsupportedRegularizerError
 from .regularizers import Regularizer, shifted_prox
-from .sr2 import IterationRecord, RunResult, _drive, _Point
+from .sr2 import IterationRecord, RunResult, _check_count, _drive, _Point
 
 __all__ = [
     "BaselineConfig",
@@ -58,8 +58,7 @@ class BaselineConfig:
         if self.schedule not in ("constant", "inverse-sqrt"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         for key, low in (("batch_size", 1), ("max_iter", 0), ("seed", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}")
+            _check_count(key, getattr(self, key), low)
 
     def step_size(self, t):
         """Step size at iteration t (1-based)."""

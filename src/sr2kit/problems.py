@@ -1,16 +1,20 @@
 """Finite-sum smooth objectives with full and sampled evaluation.
 
 Every problem is a mean of N per-sample terms, f(x) = (1/N) sum_i f_i(x),
-with analytic gradients and (where available) a computable Lipschitz bound
-on the full gradient, which is computed only when something reads it (SR2
+each a loss of a model's output on one row of the data.  The square and
+logistic losses are written once (_SQUARE, _LOGISTIC), and each
+subclass sets n and its loss and writes its model once (_model and
+_model_grad): linear for LeastSquares and Logistic, a tanh network for
+TinyMLP.  Gradients are analytic, and a Lipschitz bound on the full
+gradient, where available, is computed only when something reads it (SR2
 never does).  Summation is always in ascending index order so
 full-batch evaluation is bitwise reproducible.
 
 Evaluation has one path.  Problem.sample(idx) checks the index set once
 and gathers its rows once (A.take, the bytes of A[idx] for less
 overhead); the Sample's value and gradient at x both come from one
-forward pass (the residual, minus the margin, or the network's hidden
-layer and output), and every public evaluation checks x.  The whole data
+forward pass (the model's output and the loss's head on it), and every
+public evaluation checks x.  The whole data
 set is an ordinary Sample too, Problem.full (also sample(ALL)), whose rows
 are the stored A and y, read in place with no copy: a sample is the full
 one when its rows[0] is A.  The stored data is C-ordered, so it gives
@@ -41,6 +45,7 @@ change from the i.i.d. draws of Generator.choice).  A batch of N is
 from __future__ import annotations
 
 import mmap
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,15 +120,36 @@ def _check_indices(idx, N):
     return idx
 
 
+class _Loss(namedtuple("_Loss", "name head value dout curvature")):
+    """A per-sample loss of the model output out on the targets y, read
+    through its head: value(head) is the loss, dout(head, y) its derivative
+    in out, and curvature bounds its second derivative in out.  It pickles
+    as the module constant called name."""
+
+    def __reduce__(self):
+        return self.name
+
+
+#: 1/2 (out - y)^2, through the residual r = out - y
+_SQUARE = _Loss(name="_SQUARE", head=lambda out, y: out - y,
+                value=lambda r: 0.5 * r**2, dout=lambda r, y: r, curvature=1.0)
+
+#: log(1 + e^-m) at the margin m = y out of a +/-1 label y, through z = -m;
+#: d/dout = -y sigmoid(-m) = -y sigmoid(z), and sigmoid' <= 1/4
+_LOGISTIC = _Loss(name="_LOGISTIC", head=lambda out, y: -(y * out),
+                  value=lambda z: np.logaddexp(0.0, z),
+                  dout=lambda z, y: -y * _sigmoid(z), curvature=0.25)
+
+
 class Problem:
     """Finite-sum objective interface over a design A (one row per term)
-    and its targets y.
+    and its targets y: a model of the rows and a loss of its output.
 
-    Subclasses set n and write their math once: _forward(x, rows) is the
-    forward pass on the data rows (A[idx], y[idx]) of a sorted, unique,
-    in-range index array idx, or on (A, y) themselves for the full sample,
-    and _loss(fwd, rows) and _backward(fwd, rows) give the per-sample
-    losses and the mean gradient from it.
+    Subclasses set n and loss (_SQUARE, or _LOGISTIC, whose y are +/-1
+    labels) and write their model once: _model(x, Ai) gives (cache, out),
+    the output on design rows Ai (A[idx] of a sorted, unique, in-range idx,
+    or A itself) and what its gradient reads, and _model_grad(cache, dout,
+    Ai) the mean gradient given the loss's derivative dout in out.
 
     L_bound is a Lipschitz bound on the full gradient, or None.  Where a
     subclass can compute one, it does so on first read, from the stored A,
@@ -136,6 +162,7 @@ class Problem:
     """
 
     n: int
+    loss: _Loss
     L_bound: float | None = None
     labels: np.ndarray | None = None  # classification targets, +/-1
 
@@ -144,13 +171,17 @@ class Problem:
         place, the sampled ones a C-ordered copy A[idx], and the same
         layout gives both the same bits."""
         A = np.asarray(A, dtype=float)
-        if A.shape[0] == 0:
-            raise ValueError("empty design matrix")
+        if A.ndim != 2 or A.shape[0] == 0:
+            raise ValueError(f"expected a nonempty 2-D design, got shape {A.shape}")
         self.A = np.ascontiguousarray(A)
         self.y = np.asarray(y, dtype=float)
         self.N = A.shape[0]
         if self.y.shape != (self.N,):
             raise ValueError(f"expected {self.N} targets, got shape {self.y.shape}")
+        if self.loss is _LOGISTIC:
+            if not np.all(np.isin(self.y, (-1.0, 1.0))):
+                raise ValueError("labels must be in {-1, +1}")
+            self.labels = self.y
         self.name = name
 
     @property
@@ -162,13 +193,14 @@ class Problem:
         return self.A.take(idx, axis=0), self.y[idx]
 
     def _forward(self, x, rows):
-        raise NotImplementedError
-
-    def _loss(self, fwd, rows):
-        raise NotImplementedError
+        """The model's cache and output on rows (Ai, yi), and the loss's head."""
+        Ai, yi = rows
+        cache, out = self._model(x, Ai)
+        return cache, out, self.loss.head(out, yi)
 
     def _backward(self, fwd, rows):
-        raise NotImplementedError
+        cache, _, head = fwd
+        return self._model_grad(cache, self.loss.dout(head, rows[1]), rows[0])
 
     def sample(self, idx):
         """The terms on the index set idx, checked and gathered once; ALL
@@ -198,13 +230,15 @@ class Problem:
         return self.sample(idx).grad(x)
 
     def margins(self, x):
-        """Per-sample real-valued prediction scores (classification only)."""
-        raise NotImplementedError(f"{self.name} has no classifier margins")
+        """Per-sample prediction scores, the model's output (with labels only)."""
+        if self.labels is None:
+            raise NotImplementedError(f"{self.name} has no classifier margins")
+        return self._margins_of(self.full.forward(x))
 
     def _margins_of(self, fwd):
         """margins at the point of the full forward pass fwd, with the
-        bits of margins(x)."""
-        raise NotImplementedError(f"{self.name} has no classifier margins")
+        bits of margins(x) (a problem with labels only)."""
+        return fwd[1]
 
 
 class Sample:
@@ -227,7 +261,7 @@ class Sample:
         return self.problem._forward(x, self.rows)
 
     def value_of(self, fwd):
-        loss = self.problem._loss(fwd, self.rows)
+        loss = self.problem.loss.value(fwd[2])
         return float(np.add.reduce(loss) / loss.size)  # the bits of loss.mean()
 
     def grad_of(self, fwd):
@@ -245,151 +279,98 @@ class Sample:
         return self.value_of(fwd), self.grad_of(fwd)
 
 
-class LeastSquares(Problem):
-    """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N,
-    from the stored A on first read (see Problem)."""
+class _Linear(Problem):
+    """The linear model out = A x.  L_bound is lambda_max(A^T A) / N times
+    the loss's curvature, from the stored A on first read (see Problem)."""
+
+    @cached_property
+    def n(self):
+        return self.A.shape[1]
+
+    @cached_property
+    def L_bound(self):
+        return _gram_lmax(self.A) / (self.N / self.loss.curvature)
+
+    def _model(self, x, Ai):
+        return None, Ai @ x
+
+    def _model_grad(self, cache, dout, Ai):
+        return (Ai.T @ dout) / Ai.shape[0]
+
+
+class LeastSquares(_Linear):
+    """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N."""
+
+    loss = _SQUARE
 
     def __init__(self, A, y, name="least_squares"):
         super().__init__(A, y, name)
-        self.n = self.A.shape[1]
-
-    @cached_property
-    def L_bound(self):
-        return _gram_lmax(self.A) / self.N
-
-    def _forward(self, x, rows):
-        Ai, yi = rows
-        return Ai @ x - yi  # residual
-
-    def _loss(self, r, rows):
-        return 0.5 * r**2
-
-    def _backward(self, r, rows):
-        Ai = rows[0]
-        return (Ai.T @ r) / Ai.shape[0]
 
 
-class Logistic(Problem):
+class Logistic(_Linear):
     """f_i(x) = log(1 + exp(-y_i a_i^T x)), y_i in {-1, +1}.  L_bound =
-    lambda_max(A^T A) / (4N), since sigmoid' <= 1/4, from the stored A on
-    first read (see Problem)."""
+    lambda_max(A^T A) / (4N)."""
+
+    loss = _LOGISTIC
 
     def __init__(self, A, y, name="logistic"):
         super().__init__(A, y, name)
-        if not np.all(np.isin(self.y, (-1.0, 1.0))):
-            raise ValueError("labels must be in {-1, +1}")
-        self.n = self.A.shape[1]
-        self.labels = self.y
-
-    @cached_property
-    def L_bound(self):
-        return _gram_lmax(self.A) / (4.0 * self.N)
-
-    def _forward(self, x, rows):
-        Ai, yi = rows
-        return -(yi * (Ai @ x))  # minus the margin m, which loss and grad read
-
-    def _loss(self, z, rows):
-        return np.logaddexp(0.0, z)
-
-    def _backward(self, z, rows):
-        Ai, yi = rows
-        # d/dm log(1+e^-m) = -sigmoid(-m) = -sigmoid(z)
-        coef = -yi * _sigmoid(z)
-        return (Ai.T @ coef) / Ai.shape[0]
 
     def margins(self, x):
         return self.A @ _check_point(x, self.n)
-
-    def _margins_of(self, z):
-        # z = -(y * (A x)) and y is +/-1: the negation and both products
-        # are exact, signed zeros included, so this is A x bit for bit
-        return -(z * self.y)
 
 
 class TinyMLP(Problem):
     """One-hidden-layer tanh network with hand-coded backprop.
 
     Parameters are the flat vector [W1 (h x d), b1 (h), w2 (h), b2].
-    task "regression" uses 1/2 (out - y)^2; task "classification" uses the
-    logistic loss on +/-1 labels.  tanh keeps the gradient Lipschitz on
-    bounded parameter sets, unlike ReLU.
+    task "regression" uses the square loss 1/2 (out - y)^2; task
+    "classification" the logistic loss on +/-1 labels.  tanh keeps the
+    gradient Lipschitz on bounded parameter sets, unlike ReLU.  L_bound
+    is None until estimate_local_lipschitz sets it.
     """
 
     def __init__(self, features, targets, hidden, task="regression",
                  name="tiny_mlp"):
-        super().__init__(features, targets, name)
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task {task!r}")
-        if task == "classification" and not np.all(np.isin(self.y, (-1.0, 1.0))):
-            raise ValueError("classification labels must be in {-1, +1}")
+        self.loss = _LOGISTIC if task == "classification" else _SQUARE
+        super().__init__(features, targets, name)
         self.d = self.A.shape[1]
         self.h = int(hidden)
         if self.h <= 0:
             raise ValueError("hidden must be positive")
         self.task = task
         self.n = self.h * self.d + 2 * self.h + 1
-        if task == "classification":
-            self.labels = self.y
-        self.L_bound = None  # set by estimate_local_lipschitz when needed
 
-    def _unpack(self, x):
+    def _model(self, x, Ai):
         h, d = self.h, self.d
-        W1 = x[: h * d].reshape(h, d)
-        b1 = x[h * d: h * d + h]
-        w2 = x[h * d + h: h * d + 2 * h]
-        b2 = x[-1]
-        return W1, b1, w2, b2
+        W1, b1, w2 = x[: h * d].reshape(h, d), x[h * d: h * d + h], x[h * d + h: -1]
+        T = np.tanh(Ai @ W1.T + b1)   # [m, h]
+        return (T, w2), T @ w2 + x[-1]   # out: [m]
 
-    def _forward(self, x, rows):
-        W1, b1, w2, b2 = self._unpack(x)
-        T = np.tanh(rows[0] @ W1.T + b1)   # [m, h]
-        out = T @ w2 + b2                  # [m]
-        return T, w2, out
-
-    def _loss(self, fwd, rows):
-        out, yi = fwd[2], rows[1]
-        if self.task == "regression":
-            return 0.5 * (out - yi) ** 2
-        return np.logaddexp(0.0, -yi * out)
-
-    def _backward(self, fwd, rows):
-        T, w2, out = fwd
-        Ai, yi = rows
+    def _model_grad(self, cache, dout, Ai):
+        T, w2 = cache
         m = Ai.shape[0]
-        if self.task == "regression":
-            dout = out - yi
-        else:
-            dout = -yi * _sigmoid(-yi * out)
-        dw2 = T.T @ dout / m
-        db2 = np.sum(dout) / m
         dT = np.outer(dout, w2) * (1.0 - T**2)   # [m, h]
-        dW1 = dT.T @ Ai / m
-        db1 = np.sum(dT, axis=0) / m
-        return np.concatenate([dW1.ravel(), db1, dw2, [db2]])
+        return np.concatenate([(dT.T @ Ai / m).ravel(), np.sum(dT, axis=0) / m,
+                               T.T @ dout / m, [np.sum(dout) / m]])
 
-    def margins(self, x):
-        return self._margins_of(self.full.forward(x))
-
-    def _margins_of(self, fwd):
-        if self.task != "classification":
-            raise NotImplementedError("regression MLP has no classifier margins")
-        return fwd[2]
-
-    def estimate_local_lipschitz(self, rng, radius=1.0, pairs=200, margin=2.0):
+    def estimate_local_lipschitz(self, rng):
         """Randomized local estimate of the gradient Lipschitz constant on
-        the ball of given radius; inflated by a safety margin.  The network
-        loss is not globally L-smooth in the parameters, so only a local
-        figure is meaningful."""
+        the ball of radius 1: the largest difference quotient of the full
+        gradient over 200 random close pairs, inflated by a safety margin
+        of 2.  The network loss is not globally L-smooth in the
+        parameters, so only a local figure is meaningful."""
         best = 0.0
-        for _ in range(pairs):
-            x = rng.uniform(-radius, radius, self.n)
+        for _ in range(200):
+            x = rng.uniform(-1.0, 1.0, self.n)
             y = x + rng.normal(0.0, 1e-3, self.n)
             num = np.linalg.norm(self.full_grad(x) - self.full_grad(y))
             den = np.linalg.norm(x - y)
             if den > 0:
                 best = max(best, num / den)
-        self.L_bound = margin * best
+        self.L_bound = 2.0 * best
         return self.L_bound
 
 

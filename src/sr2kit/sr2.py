@@ -72,6 +72,15 @@ __all__ = [
     "run",
 ]
 
+
+def _check_count(key, value, low):
+    """A config's integer field: an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     eta1: float = 7.5e-4
@@ -101,8 +110,7 @@ class SolverConfig:
             raise ValueError("epsilon must be positive and finite")
         for key, low in (("batch_size", 1), ("max_iter", 0), ("seed", 0),
                          ("window", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}")
+            _check_count(key, getattr(self, key), low)
         if self.rho_mode not in ("sampled", "full"):
             raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
         if self.assumption_check not in ("off", "full", "sampled-proxy"):

@@ -1,6 +1,7 @@
 """Finite-sum problems: analytic gradients, sampling, generators, I/O."""
 
 import mmap
+import pickle
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def build_problem(kind, N, n, layout, rng):
     task = kind.removeprefix("mlp_")
     targets = y if task == "classification" else rng.normal(size=N)
     return TinyMLP(A, targets, hidden=int(rng.integers(1, 5)), task=task)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic",
+                                  "mlp_regression", "mlp_classification"])
+def test_problem_pickles(kind):
+    # a --jobs worker started by spawn or forkserver gets the problem
+    # pickled, the network's loss by reference
+    rng = np.random.default_rng(0)
+    p = build_problem(kind, 12, 3, "C", rng)
+    q = pickle.loads(pickle.dumps(p))
+    x = rng.normal(size=p.n)
+    assert q.full_value(x) == p.full_value(x)
+    assert q.full_grad(x).tobytes() == p.full_grad(x).tobytes()
 
 
 def _sigmoid(t):
@@ -166,8 +180,14 @@ class TestLeastSquares:
         assert p.full_value(x) == pytest.approx(np.mean(per_term), rel=1e-10)
 
     def test_empty_design_rejected(self):
-        with pytest.raises(ValueError):
-            LeastSquares(np.zeros((0, 3)), np.zeros(0))
+        # an empty design, or one that is not a matrix, fails when the
+        # problem is built, in Problem, before a subclass reads its shape
+        for make in (lambda: LeastSquares(np.zeros((0, 3)), np.zeros(0)),
+                     lambda: LeastSquares(np.zeros(3), np.zeros(3)),
+                     lambda: Logistic(np.zeros(3), np.ones(3)),
+                     lambda: TinyMLP(np.zeros(3), np.zeros(3), 2)):
+            with pytest.raises(ValueError, match="2-D design"):
+                make()
 
     @pytest.mark.parametrize("make", [
         lambda y: LeastSquares(np.eye(3), y),

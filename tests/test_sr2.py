@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sr2kit.problems import LeastSquares, make_least_squares, make_logistic
+from sr2kit.baselines import BaselineConfig
+from sr2kit.problems import (
+    LeastSquares,
+    TinyMLP,
+    make_least_squares,
+    make_logistic,
+)
 from sr2kit.regularizers import L0, L1, L0Ball, Zero
 from sr2kit.sr2 import (
     SolverConfig,
@@ -63,6 +69,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(assumption_check="maybe")
 
+    @pytest.mark.parametrize("config, key", [
+        *((SolverConfig, key) for key in ("max_iter", "batch_size", "window",
+                                          "seed")),
+        *((BaselineConfig, key) for key in ("max_iter", "batch_size", "seed"))])
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"])
+    def test_integer_fields_take_integers_only(self, config, key, value):
+        # a float or a bool is rejected when the config is made, not by
+        # range, slicing, deque or SeedSequence inside the run
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            config(**{key: value})
+        assert getattr(config(**{key: np.int64(3)}), key) == 3
+
 
 class TestUpdateSigma:
     def test_very_successful_shrinks(self):
@@ -115,8 +133,21 @@ def test_window_mean_is_np_mean_bitwise(values):
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
+def mlp_maker(task):
+    """A maker of small TinyMLPs of the task, as make_least_squares is of
+    least-squares problems."""
+    def make(rng, N, d):
+        y = rng.normal(size=N)
+        return TinyMLP(rng.normal(size=(N, d)),
+                       np.where(y >= 0.0, 1.0, -1.0) if task == "classification"
+                       else y, hidden=2, task=task)
+    return make
+
+
 @settings(max_examples=200, deadline=None)
-@given(make=st.sampled_from([make_least_squares, make_logistic]),
+@given(make=st.sampled_from([make_least_squares, make_logistic,
+                             mlp_maker("regression"),
+                             mlp_maker("classification")]),
        reg=st.sampled_from([Zero(), L1(0.05), L0(0.01), L0Ball(2)]),
        N=st.integers(1, 24), batch_draw=st.integers(1, 24),
        epsilon=st.sampled_from([1e-1, 1e-3, 1e-8]),
@@ -125,11 +156,17 @@ def test_trace_holds_each_verdict(make, reg, N, batch_draw, epsilon, sigma0,
                                   seed):
     # the counts of accepted and rejected steps are read off the trace, so
     # each row must carry its own verdict: rho from its sampled columns,
-    # and acceptance from rho alone (sigma0 = 1e-2 makes rejections common)
-    p = make(np.random.default_rng(seed), N, 4)
+    # and acceptance from rho alone (sigma0 = 1e-2 makes rejections common);
+    # a network starts from a small random point, since 0 is a saddle, with
+    # two nonzeros, which L0Ball(2) admits
+    rng = np.random.default_rng(seed)
+    p = make(rng, N, 4)
+    x0 = np.zeros(p.n)
+    if isinstance(p, TinyMLP):
+        x0[rng.choice(p.n, size=2, replace=False)] = 0.1 * rng.normal(size=2)
     cfg = SolverConfig(batch_size=1 + (batch_draw - 1) % N, max_iter=40,
                        epsilon=epsilon, window=3, sigma0=sigma0, seed=seed)
-    res = run(p, reg, np.zeros(4), cfg)
+    res = run(p, reg, x0, cfg)
     assert res.stop_reason in ("stationarity", "zero_step", "budget")
     assert res.state.t == len(res.trace) <= cfg.max_iter
     for r in res.trace:
