@@ -1,29 +1,17 @@
-"""Stripped-down comparison solvers: ProxGEN-style proximal SG and
-ProxSGD-style interpolated proximal SG, both with momentum and
-preconditioning disabled (identity metric, v_t = g_t).
+"""Comparison solvers: ProxGEN-style proximal SG and ProxSGD-style
+interpolated proximal SG, with momentum and preconditioning disabled
+(identity metric, v_t = g_t).
 
-Neither method tests step quality: every step is taken, the batch size is
-fixed, and the step size follows the configured schedule.  proxgen_step
-and proxsgd_step are the two update rules alone: they take x and a
-sampled gradient g and draw and evaluate nothing.
-
-run_proxgen and run_proxsgd are SR2's run loop (sr2._drive) around _step,
-which evaluates as sr2_step does: it draws one sample from the run's
-Sampler (Problem.draw: random reshuffling as in SR2; a batch of N is the
-problem's full sample and draws nothing from the RNG), asks the iterate's
-_Point for f(x) and the gradient on it, calls the update rule once, and
-evaluates the trace's f(x') on the same sample through the new point's
-_Point.  So at full batch the forward pass of x' made for the trace is
-the one the next step's gradient reads.  Each point is checked once, as
-its _Point is made: x0 in full, each x' by the step norm ||x' - x||^2
-that the trace records, and a BaselineConfig once, as it is made.  No
-step adds to the window, so a run uses its whole budget; state.sigma is
-1/alpha of the next step.
+proxgen_step and proxsgd_step are the two update rules alone: they take x
+and a sampled gradient g and draw and evaluate nothing.  run_proxgen and
+run_proxsgd call one of them at alpha = step_size(t) in SR2's run loop and
+step (sr2._drive, sr2._step, which lists how the traces differ).  No step
+is tested or adds to the window, and the batch size is fixed, so a run
+takes every step and uses its whole budget.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +19,7 @@ import numpy as np
 
 from .errors import UnsupportedRegularizerError
 from .regularizers import Regularizer, shifted_prox
-from .sr2 import IterationRecord, RunResult, _check_count, _drive, _Point
+from .sr2 import RunResult, _check_count, _drive, _Point, _step
 
 __all__ = [
     "BaselineConfig",
@@ -95,45 +83,26 @@ def proxsgd_step(reg: Regularizer, x, g, alpha, r_x=None):
     return x + alpha * step.s, step
 
 
-def _step(stepper, p, reg: Regularizer, state, cfg: BaselineConfig):
-    """One iteration through stepper (proxgen_step or proxsgd_step);
-    mutates state and returns the IterationRecord."""
-    t0 = time.perf_counter()
-    x, at_x = state.x, state.point
-    alpha = cfg.step_size(state.t + 1)
-    r_x = at_x.reg_value(reg)
-    sample = p.draw(state.sampler, state.batch_size)
-    f, g = at_x.value_and_grad(sample)
-    x_new, step = stepper(reg, x, g, alpha, r_x)
+def _update(stepper, p, reg, state, cfg, sample, f, g, r_x):
+    """A baseline's part of sr2._step: stepper (proxgen_step or
+    proxsgd_step) at cfg.step_size(t + 1), always taken."""
+    x = state.x
+    x_new, step = stepper(reg, x, g, cfg.step_size(state.t + 1), r_x)
     s = x_new - x
     step_norm_sq = float(s.dot(s))
-    at_new = _Point(x_new, p.n, step_norm_sq)
-    F_full = at_x.value(p.full) + r_x if cfg.record_full_objective else None
-    state.point = at_new
-    state.t += 1
-    state.sigma = 1.0 / cfg.step_size(state.t + 1)
-    return IterationRecord(
-        t=state.t,
-        sigma_used=1.0 / alpha,
-        rho=float("nan"),
-        step_norm_sq=step_norm_sq,
-        accepted=True,
-        F_sampled_before=f + r_x,
-        F_sampled_after=at_new.value(sample) + at_new.reg_value(reg),
-        F_full=F_full,
-        model_decrease=step.model_decrease,
-        batch_size=state.batch_size,
-        assumption_rejected=False,
-        nnz=int(np.count_nonzero(x_new)),
-        wall_time=time.perf_counter() - t0,
-    )
+    new = _Point(x_new, p.n, step_norm_sq)
+    F_full = (state.point.value(p.full) + r_x
+              if cfg.record_full_objective else None)
+    state.sigma = 1.0 / cfg.step_size(state.t + 2)
+    return (new, np.nan, step_norm_sq, new.value(sample) + new.reg_value(reg),
+            F_full, step.model_decrease, False)
 
 
 def run_proxgen(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    return _drive(p, reg, x0, cfg, partial(_step, proxgen_step),
+    return _drive(p, reg, x0, cfg, partial(_step, partial(_update, proxgen_step)),
                   1.0 / cfg.step_size(1))
 
 
 def run_proxsgd(p, reg: Regularizer, x0, cfg: BaselineConfig) -> RunResult:
-    return _drive(p, reg, x0, cfg, partial(_step, proxsgd_step),
+    return _drive(p, reg, x0, cfg, partial(_step, partial(_update, proxsgd_step)),
                   1.0 / cfg.step_size(1))

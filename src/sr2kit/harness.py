@@ -407,15 +407,17 @@ def _prune_sweep(p, x, acc, thresholds):
 
 
 #: the output files of a cell, by its name
-_CELL_FILES = ("trace_{}.csv", "model_{}.txt", "prune_sparsity_{}.dat",
-               "prune_accuracy_{}.dat", "objective_{}.dat", "sigma_{}.dat")
+_CELL_FILES = ("run_{}.json", "trace_{}.csv", "model_{}.txt",
+               "prune_sparsity_{}.dat", "prune_accuracy_{}.dat",
+               "objective_{}.dat", "sigma_{}.dat")
 
 
 def _cell_job(spec, p, solver, reg, seed, out_dir):
     """Run one cell, write its outputs and save its summary row; returns
-    the row.  The cell's files from an earlier run go first, so a cell
-    that fails leaves none.  A failing cell gives an error row, in a pool
-    worker as in the parent."""
+    the row.  The cell's files from an earlier run, its row among them,
+    go first, so a cell that fails leaves only its error row, and one
+    that is interrupted no row.  A failing cell gives an error row, in a
+    pool worker as in the parent."""
     cell = _cell_name(solver, reg, seed)
     try:
         for name in _CELL_FILES:

@@ -6,20 +6,19 @@ predicted decrease (rho), and accepts or rejects the step while adapting
 sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
-Each step draws one sample (Problem.draw) and asks the iterate's _Point
-for f(x) and the gradient on it, from one forward pass; f(x + s) on the
-same sample costs one more forward pass.  A minibatch is one gather of
-rows, whose drawn indices are not checked again, from the run's Sampler
-(random reshuffling, see problems): consecutive batches of one
-permutation of the data, and a new permutation when the next batch does
-not fit in the rest, also after the guard doubles the batch.  Batches of
-one permutation are disjoint, so not independent as SR2's analysis
-assumes.
+One run loop, _drive, and one step, _step, serve SR2 and both baselines.
+_step draws one sample (Problem.draw), asks the iterate's _Point for f(x)
+and the gradient on it, from one forward pass, and leaves the step to the
+method's verdict; f(x + s) on the same sample costs one more forward
+pass.  A minibatch is one gather of rows, whose drawn indices are not
+checked again, from the run's Sampler (random reshuffling, see problems):
+consecutive batches of one permutation of the data, and a new permutation
+when the next batch does not fit in the rest, also after the guard
+doubles the batch.  Batches of one permutation are disjoint, so not
+independent as SR2's analysis assumes.
 
-Each point is checked once, when its _Point is made: x0 in full in
-_drive, each trial point x + s by its step norm (x is finite, so a
-finite ||s||^2 shows x + s finite).  No evaluation checks it again, and
-a config is checked once, when it is made.
+Each point is checked once, when its _Point is made (x0 in full in
+_drive), and a config once, when it is made; no evaluation checks again.
 
 Full batch (batch == N, which the batch never leaves once it gets there):
 the sample is the problem's full one, Problem.full, read in place, and
@@ -42,8 +41,10 @@ make: only sigma changes after it, and in exact arithmetic ||s|| does not
 grow with sigma, so every later step is zero too (R2's sigma ||s|| is
 already 0).
 
-One run loop, _drive, serves SR2 and both baselines: it checks x0 and
-R(x0), then calls the solver's own step (for run, sr2_step) until it stops.
+A baseline's record differs from SR2's in sigma_used (1/alpha), the new
+point (its x', always accepted), step_norm_sq (||x' - x||^2, not ||s||^2),
+F_sampled_after (with R(x') from the new _Point, which the next step
+reuses as its R(x), not the prox step's R(x + s)) and rho (NaN).
 """
 
 from __future__ import annotations
@@ -254,17 +255,47 @@ def _resolve_kappa(cfg, p):
     return float(cfg.kappa_m)
 
 
-def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
-    """One SR2 iteration; mutates state and returns the IterationRecord."""
+def _step(verdict, p, reg: Regularizer, state: SolverState, cfg):
+    """One iteration of SR2 or a baseline; mutates state and returns the
+    IterationRecord.  verdict(p, reg, state, cfg, sample, f, g, r_x) takes
+    the step and sets state.sigma for the next one; it returns (the new
+    _Point or None, rho, step_norm_sq, F_sampled_after, F_full,
+    model_decrease, assumption_rejected)."""
     t0 = time.perf_counter()
     at_x = state.point
-    x = at_x.x
     sigma = state.sigma
     batch = state.batch_size
     r_x = at_x.reg_value(reg)
     sample = p.draw(state.sampler, batch)
     f_before, g = at_x.value_and_grad(sample)
-    step = shifted_prox(reg, x, g, sigma, r_x)
+    new, rho, step_norm_sq, F_after, F_full, delta_psi, guarded = verdict(
+        p, reg, state, cfg, sample, f_before, g, r_x)
+    if new is not None:
+        state.point = new
+    state.t += 1
+    return IterationRecord(
+        t=state.t,
+        sigma_used=sigma,
+        rho=rho,
+        step_norm_sq=step_norm_sq,
+        accepted=new is not None,
+        F_sampled_before=f_before + r_x,
+        F_sampled_after=F_after,
+        F_full=F_full,
+        model_decrease=delta_psi,
+        batch_size=batch,
+        assumption_rejected=guarded,
+        nnz=int(np.count_nonzero(state.point.x)),
+        wall_time=time.perf_counter() - t0,
+    )
+
+
+def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
+    """SR2's part of _step: the prox step at state.sigma, the assumption
+    guard, the rho test, the window and update_sigma."""
+    at_x = state.point
+    x = at_x.x
+    step = shifted_prox(reg, x, g, state.sigma, r_x)
     F_before = f_before + r_x
     s = step.s
     step_norm_sq = float(s.dot(s))
@@ -293,7 +324,6 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
 
     if assumption_rejected or step_norm_sq == 0.0:
         rho = 0.0
-        accepted = False
         F_after = F_before
         delta_psi = 0.0
     else:
@@ -315,29 +345,18 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
             rho = 0.0
         else:
             rho = delta_F / delta_psi
-        accepted = rho >= cfg.eta1
 
+    accepted = rho >= cfg.eta1  # eta1 > 0, so never after a zero step
     if accepted:
-        state.point = trial
         state.window.append(step_norm_sq)
-    state.sigma = update_sigma(sigma, rho, cfg)
-    state.t += 1
+    state.sigma = update_sigma(state.sigma, rho, cfg)
+    return (trial if accepted else None, rho, step_norm_sq, F_after, F_full,
+            delta_psi, assumption_rejected)
 
-    return IterationRecord(
-        t=state.t,
-        sigma_used=sigma,
-        rho=rho,
-        step_norm_sq=step_norm_sq,
-        accepted=accepted,
-        F_sampled_before=F_before,
-        F_sampled_after=F_after,
-        F_full=F_full,
-        model_decrease=delta_psi,
-        batch_size=batch,
-        assumption_rejected=assumption_rejected,
-        nnz=int(np.count_nonzero(state.x)),
-        wall_time=time.perf_counter() - t0,
-    )
+
+def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
+    """One SR2 iteration; mutates state and returns the IterationRecord."""
+    return _step(_sr2_verdict, p, reg, state, cfg)
 
 
 def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):

@@ -53,9 +53,17 @@ def test_installs_records_and_restores(tracer):
         baselines.run_proxgen(p, L1(0.05), np.zeros(5),
                               baselines.BaselineConfig(batch_size=10,
                                                        max_iter=3))
+        baselines.run_proxsgd(p, L1(0.05), np.zeros(5),
+                              baselines.BaselineConfig(alpha=0.5,
+                                                       batch_size=10,
+                                                       max_iter=4))
+    # the bench divides sr2.run's time by SR2's iterations and
+    # baselines.run's by the calls of the update rules: all three methods
+    # share one step, but each SR2 iteration is one sr2_step call and each
+    # baseline iteration one update rule call, never both
     calls = tr.summary()[2]
     assert calls["sr2.run"] == 1 and calls["sr2.sr2_step"] == 5
-    assert calls["baselines.run"] == 1 and calls["baselines.step"] == 3
+    assert calls["baselines.run"] == 2 and calls["baselines.step"] == 3 + 4
     for (owner, attr), original in targets.items():
         assert vars(owner)[attr] is original
     after = sr2kit_bindings()

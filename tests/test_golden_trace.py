@@ -296,9 +296,8 @@ def test_sampled_proxy_guard_on_a_tiny_step():
 
 
 @st.composite
-def small_runs(draw, full_batch):
-    """A small least-squares or logistic problem, a regularizer, x0 = 0 and
-    an SR2 config at batch N (full_batch) or below it with the guard off."""
+def small_problems(draw):
+    """A small least-squares or logistic problem and a regularizer weight."""
     N = draw(st.integers(2, 24))
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -306,7 +305,15 @@ def small_runs(draw, full_batch):
         p = make_least_squares(rng, N, n, draw(st.sampled_from([0.0, 0.1, 1.0])))
     else:
         p = make_logistic(rng, N, n)
-    lam = draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+    return p, draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0]))
+
+
+@st.composite
+def small_runs(draw, full_batch):
+    """A small problem, a regularizer, x0 = 0 and an SR2 config at batch N
+    (full_batch) or below it with the guard off."""
+    p, lam = draw(small_problems())
+    N, n = p.N, p.n
     reg = draw(st.sampled_from([Zero(), L1(lam), L0(lam),
                                 L0Ball(draw(st.integers(0, n)))]))
     if full_batch:
@@ -355,6 +362,39 @@ def test_minibatch_runs_never_stop_on_zero_step(run_args):
     event(res.stop_reason)
     assert res.stop_reason in ("stationarity", "budget")
     check_zero_step_stop(p, res)
+
+
+@st.composite
+def small_baseline_runs(draw, convex):
+    """A small problem, a regularizer and a baseline config at a batch from
+    1 to N; with convex, a convex regularizer and alpha at most 1."""
+    p, lam = draw(small_problems())
+    regs = [Zero(), L1(lam)] if convex else [Zero(), L1(lam), L0(lam)]
+    alphas = [1e-3, 0.1, 1.0] if convex else [1e-3, 0.1, 1.0, 3.0]
+    cfg = BaselineConfig(alpha=draw(st.sampled_from(alphas)),
+                         schedule=draw(st.sampled_from(["constant",
+                                                        "inverse-sqrt"])),
+                         batch_size=draw(st.integers(1, p.N)),
+                         max_iter=draw(st.sampled_from([1, 10, 40])),
+                         seed=draw(st.integers(0, 7)),
+                         record_full_objective=draw(st.booleans()))
+    return p, draw(st.sampled_from(regs)), cfg
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(small_baseline_runs(convex=False))
+def test_small_proxgen_runs(run_args):
+    p, reg, cfg = run_args
+    assert_same_trace(p, reg, np.zeros(p.n), cfg, reference_proxgen,
+                      run_proxgen)
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=5))
+@given(small_baseline_runs(convex=True))
+def test_small_proxsgd_runs(run_args):
+    p, reg, cfg = run_args
+    assert_same_trace(p, reg, np.zeros(p.n), cfg, reference_proxsgd,
+                      run_proxsgd)
 
 
 class Counting:

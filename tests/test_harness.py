@@ -1027,6 +1027,23 @@ run:
   max_iter: 20
 """
 
+RERUN_CONFIG = """\
+problem:
+  kind: logistic
+  N: 60
+  n: 6
+  gen_seed: 2
+regularizers:
+  - kind: l1
+    lam: 0.01
+solvers:
+  sr2: {{}}
+run:
+  seeds: [0, 1]
+  batch_size: 16
+  max_iter: {max_iter}
+"""
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestReport:
@@ -1095,6 +1112,34 @@ class TestReport:
             f"sr2kit: {error.format(out=out, path=path)}\n"
         with open(os.path.join(out, "summary.json"), "rb") as fh:
             assert fh.read() == written
+
+    def test_interrupted_rerun_leaves_no_stale_row(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # a rerun into the same directory that is interrupted in its second
+        # cell must not leave that cell's row of the first run, which report
+        # would mix with the rerun's rows of another config
+        text = RERUN_CONFIG.format(max_iter=20)
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", write_config(tmp_path, text),
+                         "--out", out]) == 0
+        row = os.path.join(out, "run_sr2_l1_0.01_s1.json")
+        assert json.load(open(row))["iterations"] == 20
+        run_cell = harness._run_cell
+
+        def interrupted(spec, p, solver, reg, seed):
+            if seed == 1:
+                raise KeyboardInterrupt
+            return run_cell(spec, p, solver, reg, seed)
+
+        monkeypatch.setattr(harness, "_run_cell", interrupted)
+        rerun = write_config(tmp_path, RERUN_CONFIG.format(max_iter=40))
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", "--config", rerun, "--out", out])
+        capsys.readouterr()
+        assert cli.main(["report", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"sr2kit: no run_sr2_l1_0.01_s1.json in {out}; cannot rebuild\n"
+        assert not os.path.exists(row)
 
 
 class TestJobsOption:
