@@ -7,9 +7,9 @@ summary rows (run_<cell>.json, failed cells included), plus summary.json,
 which rebuild_summary writes again from the saved rows.  All outputs are
 deterministic functions of (config, seeds) except the wall-time column.
 
-A baseline's alpha: auto (1/L) is resolved once per run, in the parent
-process, before any cell runs: a pool worker never computes L, and a grid
-without such a baseline never does.
+L, for a baseline's alpha: auto (1/L) or SR2's kappa_m: auto under the
+guard, is computed at most once per run, in the parent, before any cell
+runs: a pool worker never computes it, and a grid without them never does.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ _PROBLEMS = {
     "data_logistic": _DATA,
 }
 #: regularizer kind -> class; its keys and their types are its fields
-_REGULARIZERS = {"zero": Zero, "l1": L1, "l0": L0, "l0ball": L0Ball}
+_REGULARIZERS = {cls.kind: cls for cls in (Zero, L1, L0, L0Ball)}
 #: run key -> default; the types are those of the ExperimentSpec fields
 _RUN = {"seeds": [0], "batch_size": 128, "max_iter": None, "epochs": None,
         "prune_thresholds": diagnostics.DEFAULT_PRUNE_THRESHOLDS}
@@ -196,12 +196,11 @@ def parse_config(path):
                          f"got {prob['support_size']}")
 
     entries = raw.get("regularizers")
-    if entries is None:
-        entries = [{"kind": "l1", "lam": lam} for lam in DEFAULT_L1_GRID]
-    if not entries:
+    regs = ([L1(lam) for lam in DEFAULT_L1_GRID] if entries is None else
+            [_regularizer(f"regularizers[{i}]", entry)
+             for i, entry in enumerate(entries)])
+    if not regs:
         raise ParseError("regularizer grid must be nonempty")
-    regs = [_regularizer(f"regularizers[{i}]", entry)
-            for i, entry in enumerate(entries)]
 
     solvers = {}
     for name, section in _read_keys("solvers", raw.get("solvers") or {"sr2": {}},
@@ -287,10 +286,9 @@ def _load_dataset(prob):
 
 
 def _reg_tag(reg):
-    """The regularizer's kind and its field values: zero, l1_0.0001."""
-    kind = next(k for k, cls in _REGULARIZERS.items() if isinstance(reg, cls))
-    return "_".join([kind, *(f"{getattr(reg, f.name):g}"
-                             for f in dataclasses.fields(reg))])
+    """The regularizer's kind and its field values, each as %g, joined by _."""
+    return "_".join([reg.kind, *(f"{getattr(reg, f.name):g}"
+                                 for f in dataclasses.fields(reg))])
 
 
 def _cell_name(solver, reg, seed):
@@ -347,11 +345,15 @@ def _epoch_length(N, batch):
 
 def _resolve_alpha(spec, p):
     """spec with alpha: auto (a baseline section without alpha) set to 1/L
-    on p for each baseline that has a cell: the one read of L in a run."""
+    on p for each baseline that has a cell, and L cached on p if an SR2
+    cell reads it (kappa_m: auto under the guard): one read of L per run."""
     solvers = dict(spec.solvers)
     for solver in {solver for solver, _, _ in plan_cells(spec)}:
-        if (_SOLVERS[solver][0] is baselines.BaselineConfig
-                and "alpha" not in solvers[solver]):
+        if solver == "sr2":
+            cfg = sr2.SolverConfig(**solvers[solver])
+            if cfg.assumption_check != "off" and cfg.kappa_m == "auto":
+                p.L_bound  # computed here, so that no pool worker does
+        elif "alpha" not in solvers[solver]:
             alpha = 1.0 / p.L_bound if p.L_bound else 1e-3
             if solver == "proxsgd" and alpha > 1.0:  # a NaN stays, to fail
                 alpha = 1.0  # interpolation factor lives in (0, 1]
@@ -412,17 +414,20 @@ _CELL_FILES = ("run_{}.json", "trace_{}.csv", "model_{}.txt",
                "objective_{}.dat", "sigma_{}.dat")
 
 
+def _remove_cell_files(out_dir, cell):
+    for name in _CELL_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name.format(cell)))
+
+
 def _cell_job(spec, p, solver, reg, seed, out_dir):
     """Run one cell, write its outputs and save its summary row; returns
-    the row.  The cell's files from an earlier run, its row among them,
-    go first, so a cell that fails leaves only its error row, and one
-    that is interrupted no row.  A failing cell gives an error row, in a
-    pool worker as in the parent."""
+    the row.  The cell's files go before it runs, an earlier row among
+    them, and again if it fails, so a failing cell leaves only its error
+    row, in a pool worker as in the parent, and an interrupted one no row."""
     cell = _cell_name(solver, reg, seed)
     try:
-        for name in _CELL_FILES:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name.format(cell)))
+        _remove_cell_files(out_dir, cell)
         result = _run_cell(spec, p, solver, reg, seed)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
@@ -431,6 +436,7 @@ def _cell_job(spec, p, solver, reg, seed, out_dir):
         emit_plot_data(out_dir, cell, result.trace, sweep)
         row = _summary_row(p, solver, reg, seed, result, f, acc, sweep)
     except Exception as exc:  # record, keep going
+        _remove_cell_files(out_dir, cell)
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,
                "error": str(exc)}
     row["cell"] = cell

@@ -326,9 +326,10 @@ class TinyMLP(Problem):
     Parameters are the flat vector [W1 (h x d), b1 (h), w2 (h), b2].
     task "regression" uses the square loss 1/2 (out - y)^2; task
     "classification" the logistic loss on +/-1 labels.  tanh keeps the
-    gradient Lipschitz on bounded parameter sets, unlike ReLU.  L_bound
-    is None until estimate_local_lipschitz sets it.
+    gradient Lipschitz on bounded parameter sets, unlike ReLU.
     """
+
+    _lipschitz_rng = None  # make_tiny_mlp's generator state
 
     def __init__(self, features, targets, hidden, task="regression",
                  name="tiny_mlp"):
@@ -356,12 +357,19 @@ class TinyMLP(Problem):
         return np.concatenate([(dT.T @ Ai / m).ravel(), np.sum(dT, axis=0) / m,
                                T.T @ dout / m, [np.sum(dout) / m]])
 
-    def estimate_local_lipschitz(self, rng):
+    @cached_property
+    def L_bound(self):
         """Randomized local estimate of the gradient Lipschitz constant on
         the ball of radius 1: the largest difference quotient of the full
         gradient over 200 random close pairs, inflated by a safety margin
-        of 2.  The network loss is not globally L-smooth in the
-        parameters, so only a local figure is meaningful."""
+        of 2, drawn on first read from make_tiny_mlp's generator state
+        (None without one).  The network loss is not globally L-smooth in
+        the parameters, so only a local figure is meaningful."""
+        state = self._lipschitz_rng
+        if state is None:
+            return None
+        rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+        rng.bit_generator.state = state
         best = 0.0
         for _ in range(200):
             x = rng.uniform(-1.0, 1.0, self.n)
@@ -370,8 +378,7 @@ class TinyMLP(Problem):
             den = np.linalg.norm(x - y)
             if den > 0:
                 best = max(best, num / den)
-        self.L_bound = 2.0 * best
-        return self.L_bound
+        return 2.0 * best
 
 
 def _sigmoid(t):
@@ -467,8 +474,9 @@ def make_logistic(rng, N, n, separation=1.0):
 
 
 def make_tiny_mlp(rng, dataset, hidden, task="regression"):
+    """A TinyMLP whose L_bound is drawn from rng's state now, on first read."""
     p = TinyMLP(dataset.features, dataset.targets, hidden, task=task)
-    p.estimate_local_lipschitz(rng)
+    p._lipschitz_rng = rng.bit_generator.state  # a dict: equal states compare equal
     return p
 
 

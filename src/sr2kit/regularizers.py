@@ -14,7 +14,7 @@ target point w = x + s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,8 +32,31 @@ __all__ = [
 ]
 
 
+class Regularizer:
+    """Base of the regularizers, frozen dataclasses of finite parameters
+    >= 0 with R's value and prox_target, argmin_w (sigma/2)||w - u||^2 +
+    R(w).  A kind, the name in a config, is the class name in lower case."""
+
+    convex = True
+
+    def __init_subclass__(cls):
+        cls.kind = cls.__name__.lower()
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0 <= v < math.inf:  # NaN fails both
+                raise ValueError(f"{f.name} must be nonnegative and finite, got {v}")
+
+    def __str__(self):
+        params = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        args = ", ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                         for k, v in params)  # an int such as k in full
+        return f"{self.kind}({args})" if params else self.kind
+
+
 @dataclass(frozen=True)
-class Zero:
+class Zero(Regularizer):
     """R(x) = 0."""
 
     def value(self, x):
@@ -42,23 +65,12 @@ class Zero:
     def prox_target(self, u, sigma):
         return np.array(u, dtype=float, copy=True)
 
-    @property
-    def convex(self):
-        return True
-
-    def __str__(self):
-        return "zero"
-
 
 @dataclass(frozen=True)
-class L1:
+class L1(Regularizer):
     """R(x) = lam * ||x||_1 (soft thresholding)."""
 
     lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
     def value(self, x):
         # np.add.reduce is np.sum without its Python wrapper: the same bits
@@ -69,23 +81,12 @@ class L1:
         tau = self.lam / sigma
         return np.sign(u) * np.maximum(np.abs(u) - tau, 0.0)
 
-    @property
-    def convex(self):
-        return True
-
-    def __str__(self):
-        return f"l1(lam={self.lam:g})"
-
 
 @dataclass(frozen=True)
-class L0:
+class L0(Regularizer):
     """R(x) = lam * ||x||_0 (hard thresholding)."""
 
     lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
 
     def value(self, x):
         return self.lam * float(np.count_nonzero(x))
@@ -104,20 +105,14 @@ class L0:
     def convex(self):
         return self.lam == 0.0
 
-    def __str__(self):
-        return f"l0(lam={self.lam:g})"
-
 
 @dataclass(frozen=True)
-class L0Ball:
+class L0Ball(Regularizer):
     """Indicator of {x : ||x||_0 <= k} (projection keeps the k largest
     magnitudes, ties broken by lowest index)."""
 
     k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
+    convex = False
 
     def value(self, x):
         return 0.0 if np.count_nonzero(x) <= self.k else np.inf
@@ -132,16 +127,6 @@ class L0Ball:
             keep = np.argsort(-np.abs(u), kind="stable")[: self.k]
             w[keep] = u[keep]
         return w
-
-    @property
-    def convex(self):
-        return False
-
-    def __str__(self):
-        return f"l0ball(k={self.k})"
-
-
-Regularizer = Zero | L1 | L0 | L0Ball
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sr2kit import baselines, cli, diagnostics, harness, problems, sr2
 from sr2kit.errors import ParseError
-from sr2kit.regularizers import L1
+from sr2kit.regularizers import L0, L1, L0Ball, Zero
 
 from conftest import NONDETERMINISTIC_COLUMNS, read_trace_csv
 
@@ -159,6 +159,8 @@ class TestParseConfig:
          "kind: mlp\n  hidden: 4\n", "missing .* data"),
         ("N: 40", "N: 50.9", "problem.N must be int"),
         ("    lam: 0.05\n", "    lam: -1\n", "lam must be nonnegative"),
+        ("    lam: 0.05\n", "    lam: .nan\n", "lam must be nonnegative"),
+        ("    lam: 0.05\n", "    lam: .inf\n", "lam must be nonnegative"),
         ("  - kind: l1\n    lam: 0.05\n", "  - kind: l0ball\n    k: 2.7\n",
          "k must be int"),
         ("  - kind: l1\n    lam: 0.05\n", "  - l1\n",
@@ -182,7 +184,8 @@ class TestParseConfig:
     ], ids=["logistic_noise_sd", "least_squares_separation",
             "least_squares_hidden", "least_squares_task", "unknown_kind",
             "logistic_without_N", "mlp_without_data", "N_float",
-            "lam_negative", "l0ball_k_float", "regularizer_not_mapping",
+            "lam_negative", "lam_nan", "lam_inf", "l0ball_k_float",
+            "regularizer_not_mapping",
             "batch_size_float", "eta1_string", "eta1_zero", "bool_as_int",
             "solver_seed", "solver_not_mapping", "max_iter_and_epochs",
             "repeated_seed", "regularizers_with_one_tag", "alpha_nan",
@@ -339,6 +342,19 @@ class TestParseConfig:
         spec = harness.parse_config(write_config(tmp_path, cfg))
         harness.run_experiments(spec, str(tmp_path / "o"))
         assert seen == [1.0 / harness.build_problem(spec).L_bound]
+
+
+@pytest.mark.parametrize("reg,name,tag", [
+    (L1(1e-05), "l1(lam=1e-05)", "l1_1e-05"),
+    (L1(0.1 + 0.2), "l1(lam=0.3)", "l1_0.3"),
+    (L0(0.5), "l0(lam=0.5)", "l0_0.5"),
+    (Zero(), "zero", "zero"),
+    (L0Ball(0), "l0ball(k=0)", "l0ball_0"),
+    (L0Ball(10**6), "l0ball(k=1000000)", "l0ball_1e+06"),
+], ids=["l1_small", "l1_rounded", "l0", "zero", "l0ball_0", "l0ball_large"])
+def test_regularizer_name_and_cell_tag(reg, name, tag):
+    # a name prints an int parameter in full; a tag gives every one as %g
+    assert (str(reg), harness._reg_tag(reg)) == (name, tag)
 
 
 def write_data(tmp_path):
@@ -968,6 +984,25 @@ class TestFailingCell:
                    for r in errors)
         assert_same_outputs(*outs)
 
+    def test_cell_failing_after_writing_leaves_only_its_row(self, tmp_path,
+                                                            monkeypatch):
+        # the trace and model are written before the prune sweep fails;
+        # they go again, at --jobs 1 as at --jobs 2
+        def fail(*args):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(harness, "_prune_sweep", fail)
+        cfg_path = write_config(tmp_path, BASIC_CONFIG)
+        spec = harness.parse_config(cfg_path)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            [row] = harness.run_experiments(spec, out, jobs=jobs,
+                                            config_path=cfg_path)
+            assert row["error"] == "no space left"
+            assert sorted(os.listdir(out)) == [
+                "config.yaml", "run_sr2_l1_0.05_s3.json", "summary.json"]
+        assert_same_outputs(*outs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_rerun_leaves_no_stale_files(self, tmp_path, jobs):
         # the proxsgd cells run, then fail on a rerun into the same
@@ -1220,6 +1255,49 @@ class TestLipschitzOnlyWhenRead:
                                        config_path=cfg_path) == summary
         assert not any("error" in row for row in summary)
         assert_same_outputs(*outs)
+
+    def test_mlp_guard_estimates_once_in_the_parent(self, tmp_path,
+                                                    monkeypatch):
+        # SR2's kappa_m: auto under the guard reads L; at --jobs 2 a worker
+        # that estimated it would fail its cell
+        calls, parent = [], os.getpid()
+        estimate = problems.TinyMLP.L_bound.func
+
+        def counted(p):
+            if os.getpid() != parent:
+                raise AssertionError("Lipschitz bound estimated in a pool worker")
+            calls.append(p.n)
+            return estimate(p)
+
+        monkeypatch.setattr(problems.TinyMLP.L_bound, "func", counted)
+        cfg_path = write_config(tmp_path, MLP_GUARD_CONFIG.format(
+            data=write_data(tmp_path)[0]))
+        spec = harness.parse_config(cfg_path)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        summaries = [harness.run_experiments(spec, out, jobs=j,
+                                             config_path=cfg_path)
+                     for j, out in zip((1, 2), outs)]
+        assert calls == [3 * 3 + 2 * 3 + 1] * 2  # once per run
+        assert summaries[0] == summaries[1]
+        assert not any("error" in row for row in summaries[0])
+        assert_same_outputs(*outs)
+
+
+MLP_GUARD_CONFIG = """\
+problem:
+  kind: mlp
+  data: {data}
+  hidden: 3
+regularizers:
+  - kind: l1
+    lam: 0.01
+solvers:
+  sr2: {{assumption_check: full}}
+run:
+  seeds: [0, 1]
+  batch_size: 4
+  max_iter: 10
+"""
 
 
 class TestLipschitzEdgeDesigns:

@@ -468,6 +468,31 @@ def test_mlp_classification_gradient():
     assert ok, f"finite-difference mismatch {err:g}"
 
 
+def test_mlp_lipschitz_bound_estimated_on_first_read(monkeypatch):
+    # make_tiny_mlp keeps the generator's state and computes no gradient;
+    # L_bound draws its 200 pairs from that state on first read, with the
+    # bits of the eager estimate, and the generator does not advance
+    rng = np.random.default_rng(16)
+    ds = Dataset(rng.normal(size=(40, 3)), rng.normal(size=40))
+    state = rng.bit_generator.state
+    calls = []
+    full_grad = TinyMLP.full_grad
+    monkeypatch.setattr(TinyMLP, "full_grad",
+                        lambda p, x: calls.append(x) or full_grad(p, x))
+    p = make_tiny_mlp(rng, ds, hidden=4)
+    assert calls == [] and rng.bit_generator.state == state
+    L = p.L_bound
+    assert len(calls) == 400 and p.L_bound is L
+    best = 0.0
+    for _ in range(200):
+        x = rng.uniform(-1.0, 1.0, p.n)
+        y = x + rng.normal(0.0, 1e-3, p.n)
+        best = max(best, np.linalg.norm(full_grad(p, x) - full_grad(p, y))
+                   / np.linalg.norm(x - y))
+    assert L.hex() == (2.0 * best).hex()
+    assert TinyMLP(ds.features, ds.targets, hidden=4).L_bound is None
+
+
 @pytest.mark.parametrize("maker,kwargs", [
     (make_least_squares, {"N": 40, "n": 10, "noise_sd": 0.1}),
     (make_logistic, {"N": 40, "n": 10}),

@@ -37,10 +37,11 @@ class TestRegValue:
         assert reg_value(Zero(), [5.0, -5.0]) == 0.0
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            L1(-0.1)
-        with pytest.raises(ValueError):
-            L0(-0.1)
+        # a non-finite lam is rejected as a negative one is
+        for lam in (-0.1, np.nan, np.inf):
+            for cls in (L1, L0):
+                with pytest.raises(ValueError, match="lam must be nonnegative"):
+                    cls(lam)
         with pytest.raises(ValueError):
             L0Ball(-1)
 
