@@ -6,7 +6,7 @@ proxgen_step and proxsgd_step are the two update rules alone: they take x
 and a sampled gradient g and draw and evaluate nothing.  run_proxgen and
 run_proxsgd call one of them at alpha = step_size(t) in SR2's run loop and
 step (sr2._drive, sr2._step, which lists how the traces differ).  No step
-is tested or adds to the window, and the batch size is fixed, so a run
+sets a stop or adds to the window, and the batch size is fixed, so a run
 takes every step and uses its whole budget.
 """
 

@@ -191,6 +191,9 @@ def parse_config(path):
                                      {"kind": str, **hints}, required)}
     _check_low("problem", prob, (("N", 1), ("n", 1), ("hidden", 1),
                                  ("gen_seed", 0), ("support_size", 0)))
+    for key in ("noise_sd", "separation"):
+        if not math.isfinite(prob.get(key, 0.0)):
+            raise ParseError(f"problem.{key} must be finite, got {prob[key]}")
     if prob.get("support_size", 0) > prob.get("n", 0):
         raise ParseError(f"problem.support_size must be <= n = {prob['n']}, "
                          f"got {prob['support_size']}")

@@ -449,9 +449,17 @@ def _gaussian_matrix(rng, N, n):
     return A
 
 
-def make_least_squares(rng, N, n, noise_sd=0.0):
+def _check_generator(N, n, **scalars):
+    """A generator's sizes, positive, and its scalar parameters, finite."""
     if N <= 0 or n <= 0:
         raise ValueError("N and n must be positive")
+    for key, value in scalars.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+
+
+def make_least_squares(rng, N, n, noise_sd=0.0):
+    _check_generator(N, n, noise_sd=noise_sd)
     A = _gaussian_matrix(rng, N, n)
     x_true = rng.normal(size=n)
     b = A @ x_true + noise_sd * rng.normal(size=N)
@@ -459,8 +467,7 @@ def make_least_squares(rng, N, n, noise_sd=0.0):
 
 
 def make_logistic(rng, N, n, separation=1.0):
-    if N <= 0 or n <= 0:
-        raise ValueError("N and n must be positive")
+    _check_generator(N, n, separation=separation)
     w = rng.normal(size=n)
     w /= np.linalg.norm(w)
     A = _gaussian_matrix(rng, N, n)
@@ -498,8 +505,7 @@ def make_sparse_recovery(rng, N, n, support_size, noise_sd=0.0):
     """
     if support_size > n:
         raise ValueError(f"support_size {support_size} exceeds n {n}")
-    if N <= 0 or n <= 0:
-        raise ValueError("N and n must be positive")
+    _check_generator(N, n, noise_sd=noise_sd)
     A = _gaussian_matrix(rng, N, n)
     support = np.sort(rng.choice(n, size=support_size, replace=False))
     x_star = np.zeros(n)

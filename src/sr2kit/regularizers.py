@@ -34,8 +34,9 @@ __all__ = [
 
 class Regularizer:
     """Base of the regularizers, frozen dataclasses of finite parameters
-    >= 0 with R's value and prox_target, argmin_w (sigma/2)||w - u||^2 +
-    R(w).  A kind, the name in a config, is the class name in lower case."""
+    >= 0 (an int one an integer, not a bool) with R's value and
+    prox_target, argmin_w (sigma/2)||w - u||^2 + R(w).  A kind, the name
+    in a config, is the class name in lower case."""
 
     convex = True
 
@@ -45,6 +46,9 @@ class Regularizer:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
+            if f.type == "int" and (  # a string: annotations are postponed
+                    isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {v}")
             if not 0 <= v < math.inf:  # NaN fails both
                 raise ValueError(f"{f.name} must be nonnegative and finite, got {v}")
 

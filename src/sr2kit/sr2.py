@@ -7,15 +7,17 @@ sigma like a trust-region radius in reverse: rejections inflate sigma,
 very successful steps deflate it down to sigma_min.
 
 One run loop, _drive, and one step, _step, serve SR2 and both baselines.
-_step draws one sample (Problem.draw), asks the iterate's _Point for f(x)
-and the gradient on it, from one forward pass, and leaves the step to the
-method's verdict; f(x + s) on the same sample costs one more forward
-pass.  A minibatch is one gather of rows, whose drawn indices are not
-checked again, from the run's Sampler (random reshuffling, see problems):
-consecutive batches of one permutation of the data, and a new permutation
-when the next batch does not fit in the rest, also after the guard
-doubles the batch.  Batches of one permutation are disjoint, so not
-independent as SR2's analysis assumes.
+The loop knows only the budget: it calls the step until the step sets a
+stop reason on the state, or max_iter times.  _step draws one sample
+(Problem.draw), asks the iterate's _Point for f(x) and the gradient on
+it, from one forward pass, and leaves the step to the method's verdict;
+f(x + s) on the same sample costs one more forward pass.  A minibatch is
+one gather of rows, whose drawn indices are not checked again, from the
+run's Sampler (random reshuffling, see problems): consecutive batches of
+one permutation of the data, and a new permutation when the next batch
+does not fit in the rest, also after the guard doubles the batch.
+Batches of one permutation are disjoint, so not independent as SR2's
+analysis assumes.
 
 Each point is checked once, when its _Point is made (x0 in full in
 _drive), and a config once, when it is made; no evaluation checks again.
@@ -31,15 +33,15 @@ pass.  Any full objective f(x) + R(x) (rho_mode="full",
 record_full_objective, the "full" assumption guard) is evaluated at most
 once per iterate in every mode.
 
-Stopping uses a sliding-window mean of accepted squared step norms as an
-estimator of the expected squared step length; the run stops once the
-window is full and the mean falls below epsilon^2.  The mean is not taken
-when the newest entry over the window length is above epsilon^2: a float
-sum of nonnegative terms is at least each term.  A full-batch run also
-stops, on "zero_step", at its first zero step that the guard did not
-make: only sigma changes after it, and in exact arithmetic ||s|| does not
-grow with sigma, so every later step is zero too (R2's sigma ||s|| is
-already 0).
+SR2's step owns its stopping rule.  A sliding-window mean of accepted
+squared step norms estimates the expected squared step length; after an
+accepted step the run stops, on "stationarity", once the window is full
+and the mean falls below epsilon^2.  The mean is not taken when the
+newest entry over the window length is above epsilon^2: a float sum of
+nonnegative terms is at least each term.  A full-batch run also stops, on
+"zero_step", at its first zero step that the guard did not make: only
+sigma changes after it, and in exact arithmetic ||s|| does not grow with
+sigma, so every later step is zero too (R2's sigma ||s|| is already 0).
 
 A baseline's record differs from SR2's in sigma_used (1/alpha), the new
 point (its x', always accepted), step_norm_sq (||x' - x||^2, not ||s||^2),
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -176,7 +178,8 @@ class SolverState:
     t: int
     rng: np.random.Generator
     batch_size: int             # at most N
-    window: deque = field(default_factory=deque)
+    window: deque               # SR2's accepted squared step norms
+    stop: str | None = None     # the reason, set by the step that ends the run
 
     @property
     def x(self):
@@ -245,6 +248,14 @@ def stationarity_estimate(w):
     return float(np.add.reduce(np.fromiter(w, float, len(w))) / len(w))
 
 
+def _window_stops(w, epsilon):
+    """Whether the window w, just appended to, is full with mean <= epsilon^2."""
+    if w[-1] / w.maxlen > epsilon**2:
+        return False
+    est = stationarity_estimate(w)
+    return est is not None and est <= epsilon**2
+
+
 def _resolve_kappa(cfg, p):
     if cfg.kappa_m == "auto":
         if p.L_bound is None:
@@ -292,7 +303,7 @@ def _step(verdict, p, reg: Regularizer, state: SolverState, cfg):
 
 def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
     """SR2's part of _step: the prox step at state.sigma, the assumption
-    guard, the rho test, the window and update_sigma."""
+    guard, the rho test, the window, the stop tests and update_sigma."""
     at_x = state.point
     x = at_x.x
     step = shifted_prox(reg, x, g, state.sigma, r_x)
@@ -349,6 +360,10 @@ def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
     accepted = rho >= cfg.eta1  # eta1 > 0, so never after a zero step
     if accepted:
         state.window.append(step_norm_sq)
+        if _window_stops(state.window, cfg.epsilon):
+            state.stop = "stationarity"
+    elif step_norm_sq == 0.0 and not assumption_rejected and state.batch_size == p.N:
+        state.stop = "zero_step"
     state.sigma = update_sigma(state.sigma, rho, cfg)
     return (trial if accepted else None, rho, step_norm_sq, F_after, F_full,
             delta_psi, assumption_rejected)
@@ -359,13 +374,10 @@ def sr2_step(p, reg: Regularizer, state: SolverState, cfg: SolverConfig):
     return _step(_sr2_verdict, p, reg, state, cfg)
 
 
-def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
-    """Call step(p, reg, state, cfg) until the window of accepted squared
-    step norms is full with a mean of at most epsilon^2 ("stationarity"),
-    until a full-batch step is rejected with s = 0 and not by the guard
-    ("zero_step", that record last in the trace), or for max_iter steps
-    ("budget").  A step that appends nothing to the window and is always
-    accepted (the baselines') runs to the budget."""
+def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=None):
+    """Call step(p, reg, state, cfg) until it sets state.stop, or for
+    max_iter steps ("budget").  window is the length of the state's window
+    of accepted squared step norms, which only SR2's step fills."""
     at_x0 = _Point(np.array(x0, dtype=float), p.n)
     if not np.isfinite(at_x0.reg_value(reg)):
         raise InfeasibleAnchorError("starting point has infinite regularizer value")
@@ -378,30 +390,16 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=1, epsilon=0.0):
         window=deque(maxlen=window),
     )
     trace = []
-    stop_reason = "budget"
     for _ in range(cfg.max_iter):
-        record = step(p, reg, state, cfg)
-        trace.append(record)
-        # only an accepted step appends to the window; after a rejection
-        # its mean is the one already found above epsilon^2
-        if not record.accepted:
-            if (record.step_norm_sq == 0.0 and record.batch_size == p.N
-                    and not record.assumption_rejected):
-                stop_reason = "zero_step"
-                break
-            continue
-        # mean >= newest / window: a float sum is at least each nonnegative term
-        if record.step_norm_sq / window > epsilon**2:
-            continue
-        est = stationarity_estimate(state.window)
-        if est is not None and est <= epsilon**2:
-            stop_reason = "stationarity"
+        trace.append(step(p, reg, state, cfg))
+        if state.stop:
             break
-    return RunResult(x=state.x, trace=trace, stop_reason=stop_reason, state=state)
+    state.stop = state.stop or "budget"
+    return RunResult(x=state.x, trace=trace, stop_reason=state.stop, state=state)
 
 
 def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
     """Iterate sr2_step until the stationarity estimate drops below
     epsilon^2, a full-batch step is zero, or the iteration budget runs
     out."""
-    return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window, cfg.epsilon)
+    return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window)

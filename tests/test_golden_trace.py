@@ -309,21 +309,22 @@ def small_problems(draw):
 
 
 @st.composite
-def small_runs(draw, full_batch):
-    """A small problem, a regularizer, x0 = 0 and an SR2 config at batch N
-    (full_batch) or below it with the guard off."""
+def small_runs(draw, full_batch, guarded=False):
+    """A small problem, a regularizer, x0 = 0 and an SR2 config: at batch N
+    (full_batch) with the guard off or on, or below it with the guard off,
+    or on (guarded)."""
     p, lam = draw(small_problems())
     N, n = p.N, p.n
     reg = draw(st.sampled_from([Zero(), L1(lam), L0(lam),
                                 L0Ball(draw(st.integers(0, n)))]))
-    if full_batch:
-        guard = draw(st.sampled_from([dict(), dict(assumption_check="full"),
-                                      dict(assumption_check="sampled-proxy")]))
+    guard = {}
+    if full_batch or guarded:
+        guards = [dict(assumption_check="full"),
+                  dict(assumption_check="sampled-proxy")]
+        guard = draw(st.sampled_from(guards if guarded else [{}, *guards]))
         if guard:
             guard["kappa_m"] = draw(st.sampled_from([1e-6, 1e-2, 1.0]))
-        batch = N
-    else:
-        guard, batch = {}, draw(st.integers(1, N - 1))
+    batch = N if full_batch else draw(st.integers(1, N - 1))
     cfg = SolverConfig(batch_size=batch,
                        max_iter=draw(st.sampled_from([10, 300])),
                        rho_mode=draw(st.sampled_from(["sampled", "full"])),
@@ -362,6 +363,23 @@ def test_minibatch_runs_never_stop_on_zero_step(run_args):
     event(res.stop_reason)
     assert res.stop_reason in ("stationarity", "budget")
     check_zero_step_stop(p, res)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=5))
+@given(small_runs(full_batch=False, guarded=True))
+def test_minibatch_guard_runs_stop_on_zero_step_only_at_batch_n(run_args):
+    # the batch grows only when the guard rejects a step, to twice its size
+    # or N; a zero_step stop comes only once it has grown to N
+    p, reg, cfg = run_args
+    res = assert_same_trace(p, reg, np.zeros(p.n), cfg)
+    event(res.stop_reason)
+    check_zero_step_stop(p, res)
+    for before, after in zip(res.trace, res.trace[1:]):
+        assert after.batch_size == (min(2 * before.batch_size, p.N)
+                                    if before.assumption_rejected
+                                    else before.batch_size)
+    if res.stop_reason == "zero_step":
+        assert res.trace[-1].batch_size == p.N > cfg.batch_size
 
 
 @st.composite
@@ -494,20 +512,21 @@ def test_full_batch_prox_once_per_iterate_and_sigma(lasso_instance,
 @pytest.mark.parametrize("window", [25, 5])
 def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
                                               window):
-    # the window mean is taken at most once per accepted step and never
-    # after a rejected one (nor after a step whose newest entry alone keeps
-    # it above epsilon^2), and the run stops where the reference, which
-    # takes it after every step, stops
-    events = []
+    # the window mean is taken at most once per step, and only after an
+    # accepted one (not after one whose newest entry alone keeps it above
+    # epsilon^2), and the run stops where the reference, which takes it
+    # after every step, stops
+    steps = []  # per step: [estimates taken in or after it, accepted]
     step, estimate = sr2.sr2_step, sr2.stationarity_estimate
 
     def logged_step(*args):
+        steps.append([0, None])
         record = step(*args)
-        events.append("accepted" if record.accepted else "rejected")
+        steps[-1][1] = record.accepted
         return record
 
     def logged_estimate(w):
-        events.append("estimate")
+        steps[-1][0] += 1
         return estimate(w)
 
     monkeypatch.setattr(sr2, "sr2_step", logged_step)
@@ -517,10 +536,10 @@ def test_window_tested_once_per_accepted_step(lasso_instance, monkeypatch,
                        window=window)
     res = assert_same_trace(p, L1(lasso_instance["lam"]), np.zeros(p.n), cfg)
     assert res.stop_reason == "zero_step"
-    assert len(events) - events.count("estimate") == len(res.trace)
-    assert all(before == "accepted"
-               for before, event in zip(events, events[1:])
-               if event == "estimate")
+    assert len(steps) == len(res.trace)
+    assert all(taken <= 1 and (accepted or not taken)
+               for taken, accepted in steps)
+    assert any(taken for taken, _ in steps)
 
 
 @pytest.mark.parametrize("options", [dict(assumption_check="sampled-proxy",

@@ -181,6 +181,18 @@ class TestParseConfig:
          r"\[solvers.proxgen\] alpha must be positive and finite, got nan"),
         ("sr2: {}", "proxgen: {alpha: .inf}",
          r"\[solvers.proxgen\] alpha must be positive and finite, got inf"),
+        ("noise_sd: 0.1", "noise_sd: .nan",
+         "problem.noise_sd must be finite, got nan"),
+        ("noise_sd: 0.1", "noise_sd: .inf",
+         "problem.noise_sd must be finite, got inf"),
+        ("kind: least_squares\n  N: 40\n  n: 8\n  noise_sd: 0.1\n",
+         "kind: logistic\n  N: 40\n  n: 8\n  separation: .nan\n",
+         "problem.separation must be finite, got nan"),
+        ("kind: least_squares\n  N: 40\n  n: 8\n  noise_sd: 0.1\n",
+         "kind: logistic\n  N: 40\n  n: 8\n  separation: -.inf\n",
+         "problem.separation must be finite, got -inf"),
+        (BASIC_CONFIG, "- 1\n", r"\[config\] must be a mapping"),
+        ("seeds: [3]", "seeds: []", "run.seeds must be nonempty"),
     ], ids=["logistic_noise_sd", "least_squares_separation",
             "least_squares_hidden", "least_squares_task", "unknown_kind",
             "logistic_without_N", "mlp_without_data", "N_float",
@@ -189,7 +201,8 @@ class TestParseConfig:
             "batch_size_float", "eta1_string", "eta1_zero", "bool_as_int",
             "solver_seed", "solver_not_mapping", "max_iter_and_epochs",
             "repeated_seed", "regularizers_with_one_tag", "alpha_nan",
-            "alpha_inf"])
+            "alpha_inf", "noise_sd_nan", "noise_sd_inf", "separation_nan",
+            "separation_inf", "config_not_mapping", "seeds_empty"])
     def test_config_error_is_parse_error_before_any_run(
             self, tmp_path, capsys, old, new, match):
         # every key is one that the code reads, and every value has its

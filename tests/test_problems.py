@@ -576,6 +576,44 @@ class TestSparseRecovery:
             make_sparse_recovery(np.random.default_rng(0), 10, 5, 6, 0.0)
 
 
+GENERATORS = {
+    "least_squares": lambda N, n, v: make_least_squares(
+        np.random.default_rng(0), N, n, noise_sd=v),
+    "logistic": lambda N, n, v: make_logistic(
+        np.random.default_rng(0), N, n, separation=v),
+    "sparse_recovery": lambda N, n, v: make_sparse_recovery(
+        np.random.default_rng(0), N, n, 0, noise_sd=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_rejects_a_non_finite_scalar(kind, value):
+    # NaN noise or separation would make every target or row NaN
+    key = "separation" if kind == "logistic" else "noise_sd"
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        GENERATORS[kind](10, 3, value)
+
+
+@pytest.mark.parametrize("N,n", [(0, 3), (10, 0), (-1, 3)])
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_rejects_an_empty_size(kind, N, n):
+    with pytest.raises(ValueError, match="N and n must be positive"):
+        GENERATORS[kind](N, n, 0.0)
+
+
+def test_regression_problem_has_no_margins():
+    p = LeastSquares(np.eye(2), np.zeros(2))
+    with pytest.raises(NotImplementedError, match="no classifier margins"):
+        p.margins(np.zeros(2))
+
+
+@pytest.mark.parametrize("hidden", [0, -2])
+def test_mlp_without_hidden_units_rejected(hidden):
+    with pytest.raises(ValueError, match="hidden must be positive"):
+        TinyMLP(np.eye(3), np.zeros(3), hidden=hidden)
+
+
 class TestLoaders:
     def test_csv_basic(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -601,6 +639,17 @@ class TestLoaders:
         f = tmp_path / "d.csv"
         f.write_text("1,2,3\n4,5\n")
         with pytest.raises(ParseError):
+            load_csv(f)
+
+    @pytest.mark.parametrize("text,match", [
+        ("1\n2\n", "need at least 2 columns"),
+        ("a,b,y\n", "no data rows"),
+        ("\n", "no data rows")],
+        ids=["one_column", "header_only", "empty"])
+    def test_csv_rejected(self, tmp_path, text, match):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=match):
             load_csv(f)
 
     def test_csv_round_trip(self, tmp_path):
@@ -634,6 +683,17 @@ class TestLoaders:
         f.write_text("+1 0:0.5\n")
         with pytest.raises(ParseError):
             load_libsvm(f)
+
+    @pytest.mark.parametrize("text,n_features,match", [
+        ("+1 x:0.5\n", None, "bad index 'x'"),
+        ("# comment only\n\n", None, "no data rows"),
+        ("+1 1:0.5 4:2\n", 3, "index 4 exceeds declared dimension 3")],
+        ids=["bad_index", "no_rows", "index_above_n_features"])
+    def test_libsvm_rejected(self, tmp_path, text, n_features, match):
+        f = tmp_path / "d.svm"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_libsvm(f, n_features=n_features)
 
     def test_dataset_shape_mismatch(self):
         with pytest.raises(ValueError):

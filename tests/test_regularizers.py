@@ -45,6 +45,18 @@ class TestRegValue:
         with pytest.raises(ValueError):
             L0Ball(-1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), True, "2"],
+                             ids=repr)
+    def test_l0ball_k_not_an_integer_rejected(self, k):
+        # a fractional k would fail only at the first prox step, as a slice
+        # bound; a bool is not a count
+        with pytest.raises(ValueError, match="k must be an integer"):
+            L0Ball(k)
+
+    def test_l0ball_numpy_integer_k_kept(self):
+        assert L0Ball(np.int64(2)) == L0Ball(2)
+        assert str(L0Ball(np.int32(2))) == "l0ball(k=2)"
+
 
 class TestShiftedProxExamples:
     def test_l1_scalar(self):

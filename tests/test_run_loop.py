@@ -239,7 +239,7 @@ def window_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(window_runs(), st.data())
 def test_skipped_window_mean_is_above_epsilon_squared(args, data):
-    # the run loop does not take the mean after a step whose entry over
+    # SR2's step does not take the mean after a step whose entry over
     # the window length is above epsilon^2: then the mean is too
     epsilon, length, entries = args
     window = deque(data.draw(st.lists(entries, min_size=length,
@@ -252,9 +252,9 @@ def test_skipped_window_mean_is_above_epsilon_squared(args, data):
 @given(window_runs(), st.data())
 def test_drive_stops_where_the_mean_after_every_accepted_step_stops(args,
                                                                      data):
-    # a stand-in step appends its entry to the window when it is accepted,
-    # as sr2_step does; the reference takes the mean after every accepted
-    # step
+    # a stand-in step appends its entry to the window when it is accepted
+    # and tests it, as sr2_step does; the reference takes the mean after
+    # every accepted step
     epsilon, length, entries = args
     steps = data.draw(st.lists(st.tuples(st.booleans(), entries),
                                min_size=1, max_size=60))
@@ -273,13 +273,14 @@ def test_drive_stops_where_the_mean_after_every_accepted_step_stops(args,
         accepted, entry = next(taken)
         if accepted:
             state.window.append(entry)
+            if sr2._window_stops(state.window, epsilon):
+                state.stop = "stationarity"
         state.t += 1
-        return SimpleNamespace(accepted=accepted, step_norm_sq=entry,
-                               batch_size=1, assumption_rejected=False)
+        return SimpleNamespace(accepted=accepted, step_norm_sq=entry)
 
-    p = SimpleNamespace(n=1, N=2)  # batch 1 < N: no zero-step stop
+    p = SimpleNamespace(n=1, N=1)
     cfg = SolverConfig(batch_size=1, max_iter=len(steps))
-    res = sr2._drive(p, Zero(), np.zeros(1), cfg, step, 1.0, length, epsilon)
+    res = sr2._drive(p, Zero(), np.zeros(1), cfg, step, 1.0, length)
     assert (len(res.trace), res.stop_reason) == (stop, reason)
 
 

@@ -230,7 +230,7 @@ def test_state_holds_the_iterate_once():
     res = run(p, Zero(), np.array([1.0]), full_batch_cfg(max_iter=1))
     state = res.state
     assert [f.name for f in dataclasses.fields(state)] == [
-        "point", "sigma", "t", "rng", "batch_size", "window"]
+        "point", "sigma", "t", "rng", "batch_size", "window", "stop"]
     assert state.x is state.point.x is res.x
     with pytest.raises(AttributeError):
         state.x = np.zeros(1)
