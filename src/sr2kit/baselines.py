@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import UnsupportedRegularizerError
 from .regularizers import Regularizer, shifted_prox
-from .sr2 import RunResult, _check_count, _drive, _Point, _step
+from .problems import _check_count
+from .sr2 import RunResult, _drive, _Point, _step
 
 __all__ = [
     "BaselineConfig",

@@ -387,7 +387,7 @@ def _objective_and_accuracy(p, x):
     forward pass over the data."""
     fwd = p.full.forward(x)
     acc = (None if p.labels is None else
-           diagnostics.accuracy_of_margins(p._margins_of(fwd), p.labels))
+           diagnostics.accuracy_of_margins(fwd[1], p.labels))
     return p.full.value_of(fwd), acc
 
 

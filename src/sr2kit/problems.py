@@ -10,17 +10,17 @@ gradient, where available, is computed only when something reads it (SR2
 never does).  Summation is always in ascending index order so
 full-batch evaluation is bitwise reproducible.
 
-Evaluation has one path.  Problem.sample(idx) checks the index set once
-and gathers its rows once (A.take, the bytes of A[idx] for less
-overhead); the Sample's value and gradient at x both come from one
-forward pass (the model's output and the loss's head on it), and every
-public evaluation checks x.  The whole data
-set is an ordinary Sample too, Problem.full (also sample(ALL)), whose rows
-are the stored A and y, read in place with no copy: a sample is the full
-one when its rows[0] is A.  The stored data is C-ordered, so it gives
-bitwise the same numbers as the index set {0..N-1}, which is copied.
-full_value/full_grad/sampled_value/sampled_grad are thin checked wrappers
-over this path.
+Evaluation has one path, and a Sample is its one evaluator.
+Problem.sample(idx) checks the index set once and gathers its rows once
+(A.take, the bytes of A[idx] for less overhead).  The Sample runs the
+forward pass itself (the model's output and the loss's head on it), from
+which its value and gradient at x both come, and every public evaluation
+checks x.  The whole data set is an ordinary Sample too, Problem.full,
+whose rows are the stored A and y, read in place with no copy: a sample
+is the full one when its rows[0] is A.  The stored data is C-ordered, so
+it gives bitwise the same numbers as the index set {0..N-1}, which is
+copied.  full_value/full_grad/sampled_value/sampled_grad make a sample
+and evaluate it.
 
 The solvers take a cheaper way through it.  Problem.draw(sampler, batch)
 gathers the rows of draw_sample's indices without checking them again
@@ -57,7 +57,6 @@ __all__ = [
     "Dataset",
     "Problem",
     "Sample",
-    "ALL",
     "LeastSquares",
     "Logistic",
     "TinyMLP",
@@ -91,6 +90,14 @@ class Dataset:
             raise ValueError("dataset contains non-finite entries")
 
 
+def _check_count(key, value, low):
+    """An integer parameter: an int or a numpy integer, not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}")
+
+
 def _check_point(x, n):
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
@@ -98,10 +105,6 @@ def _check_point(x, n):
     if not np.isfinite(x).all():
         raise ValueError("non-finite point")
     return x
-
-
-#: index for "every sample": sample(ALL) is Problem.full
-ALL = slice(None)
 
 
 def _check_indices(idx, N):
@@ -163,10 +166,11 @@ class Problem:
 
     n: int
     loss: _Loss
+    name: str
     L_bound: float | None = None
     labels: np.ndarray | None = None  # classification targets, +/-1
 
-    def __init__(self, A, y, name):
+    def __init__(self, A, y, name=None):
         """A is stored as floats in C order: the full oracles read it in
         place, the sampled ones a C-ordered copy A[idx], and the same
         layout gives both the same bits."""
@@ -182,7 +186,8 @@ class Problem:
             if not np.all(np.isin(self.y, (-1.0, 1.0))):
                 raise ValueError("labels must be in {-1, +1}")
             self.labels = self.y
-        self.name = name
+        if name is not None:
+            self.name = name
 
     @property
     def full(self):
@@ -192,21 +197,8 @@ class Problem:
     def _rows(self, idx):
         return self.A.take(idx, axis=0), self.y[idx]
 
-    def _forward(self, x, rows):
-        """The model's cache and output on rows (Ai, yi), and the loss's head."""
-        Ai, yi = rows
-        cache, out = self._model(x, Ai)
-        return cache, out, self.loss.head(out, yi)
-
-    def _backward(self, fwd, rows):
-        cache, _, head = fwd
-        return self._model_grad(cache, self.loss.dout(head, rows[1]), rows[0])
-
     def sample(self, idx):
-        """The terms on the index set idx, checked and gathered once; ALL
-        is the full sample."""
-        if idx is ALL:
-            return self.full
+        """The terms on the index set idx, checked and gathered once."""
         return Sample(self, self._rows(_check_indices(idx, self.N)))
 
     def draw(self, sampler, batch):
@@ -233,12 +225,7 @@ class Problem:
         """Per-sample prediction scores, the model's output (with labels only)."""
         if self.labels is None:
             raise NotImplementedError(f"{self.name} has no classifier margins")
-        return self._margins_of(self.full.forward(x))
-
-    def _margins_of(self, fwd):
-        """margins at the point of the full forward pass fwd, with the
-        bits of margins(x) (a problem with labels only)."""
-        return fwd[1]
+        return self.full.forward(x)[1]
 
 
 class Sample:
@@ -258,25 +245,22 @@ class Sample:
 
     def _forward(self, x):
         """forward at a point that was checked when it was made."""
-        return self.problem._forward(x, self.rows)
+        cache, out = self.problem._model(x, self.rows[0])
+        return cache, out, self.problem.loss.head(out, self.rows[1])
 
     def value_of(self, fwd):
         loss = self.problem.loss.value(fwd[2])
         return float(np.add.reduce(loss) / loss.size)  # the bits of loss.mean()
 
     def grad_of(self, fwd):
-        return self.problem._backward(fwd, self.rows)
+        p, (Ai, yi) = self.problem, self.rows
+        return p._model_grad(fwd[0], p.loss.dout(fwd[2], yi), Ai)
 
     def value(self, x):
         return self.value_of(self.forward(x))
 
     def grad(self, x):
         return self.grad_of(self.forward(x))
-
-    def _value_and_grad(self, x):
-        """value and grad at a point that was checked when it was made."""
-        fwd = self._forward(x)
-        return self.value_of(fwd), self.grad_of(fwd)
 
 
 class _Linear(Problem):
@@ -302,9 +286,7 @@ class LeastSquares(_Linear):
     """f_i(x) = 1/2 (a_i^T x - y_i)^2.  L_bound = lambda_max(A^T A) / N."""
 
     loss = _SQUARE
-
-    def __init__(self, A, y, name="least_squares"):
-        super().__init__(A, y, name)
+    name = "least_squares"
 
 
 class Logistic(_Linear):
@@ -312,9 +294,7 @@ class Logistic(_Linear):
     lambda_max(A^T A) / (4N)."""
 
     loss = _LOGISTIC
-
-    def __init__(self, A, y, name="logistic"):
-        super().__init__(A, y, name)
+    name = "logistic"
 
     def margins(self, x):
         return self.A @ _check_point(x, self.n)
@@ -329,18 +309,18 @@ class TinyMLP(Problem):
     gradient Lipschitz on bounded parameter sets, unlike ReLU.
     """
 
+    name = "tiny_mlp"
     _lipschitz_rng = None  # make_tiny_mlp's generator state
 
     def __init__(self, features, targets, hidden, task="regression",
-                 name="tiny_mlp"):
+                 name=None):
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task {task!r}")
         self.loss = _LOGISTIC if task == "classification" else _SQUARE
         super().__init__(features, targets, name)
         self.d = self.A.shape[1]
+        _check_count("hidden", hidden, 1)
         self.h = int(hidden)
-        if self.h <= 0:
-            raise ValueError("hidden must be positive")
         self.task = task
         self.n = self.h * self.d + 2 * self.h + 1
 
@@ -450,9 +430,9 @@ def _gaussian_matrix(rng, N, n):
 
 
 def _check_generator(N, n, **scalars):
-    """A generator's sizes, positive, and its scalar parameters, finite."""
-    if N <= 0 or n <= 0:
-        raise ValueError("N and n must be positive")
+    """A generator's sizes, positive integers, and its scalars, finite."""
+    _check_count("N", N, 1)
+    _check_count("n", n, 1)
     for key, value in scalars.items():
         if not np.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value}")
@@ -503,9 +483,10 @@ def make_sparse_recovery(rng, N, n, support_size, noise_sd=0.0):
     hard threshold sqrt(2 lam / sigma) at sigma ~ L separates the planted
     magnitudes from zero.
     """
+    _check_generator(N, n, noise_sd=noise_sd)
+    _check_count("support_size", support_size, 0)
     if support_size > n:
         raise ValueError(f"support_size {support_size} exceeds n {n}")
-    _check_generator(N, n, noise_sd=noise_sd)
     A = _gaussian_matrix(rng, N, n)
     support = np.sort(rng.choice(n, size=support_size, replace=False))
     x_star = np.zeros(n)

@@ -13,9 +13,10 @@ stop reason on the state, or max_iter times.  _step draws one sample
 it, from one forward pass, and leaves the step to the method's verdict;
 f(x + s) on the same sample costs one more forward pass.  A minibatch is
 one gather of rows, whose drawn indices are not checked again, from the
-run's Sampler (random reshuffling, see problems): consecutive batches of
-one permutation of the data, and a new permutation when the next batch
-does not fit in the rest, also after the guard doubles the batch.
+run's Sampler, which _drive makes and the state holds (random
+reshuffling, see problems): consecutive batches of one permutation of
+the data, and a new permutation when the next batch does not fit in the
+rest, also after the guard doubles the batch.
 Batches of one permutation are disjoint, so not independent as SR2's
 analysis assumes.
 
@@ -55,12 +56,11 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleAnchorError, NumericalFailureError
-from .problems import Sampler, _check_point
+from .problems import Sampler, _check_count, _check_point
 from .regularizers import Regularizer, reg_value, shifted_prox
 
 __all__ = [
@@ -74,14 +74,6 @@ __all__ = [
     "sr2_step",
     "run",
 ]
-
-
-def _check_count(key, value, low):
-    """A config's integer field: an int or a numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{key} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,8 @@ class _Point:
     def value_and_grad(self, sample):
         """f(x) and its gradient on sample, from one forward pass."""
         if sample.rows[0] is not sample.problem.A:
-            return sample._value_and_grad(self.x)
+            fwd = sample._forward(self.x)
+            return sample.value_of(fwd), sample.grad_of(fwd)
         f = self.value(sample)
         if self._g is None:
             self._g = sample.grad_of(self._fwd)
@@ -176,7 +169,7 @@ class SolverState:
     point: _Point
     sigma: float
     t: int
-    rng: np.random.Generator
+    sampler: Sampler            # the run's minibatches, untouched at batch N
     batch_size: int             # at most N
     window: deque               # SR2's accepted squared step norms
     stop: str | None = None     # the reason, set by the step that ends the run
@@ -184,11 +177,6 @@ class SolverState:
     @property
     def x(self):
         return self.point.x
-
-    @cached_property
-    def sampler(self):
-        """The run's minibatch Sampler over rng, made at its first draw."""
-        return Sampler(self.rng)
 
 
 @dataclass
@@ -385,7 +373,7 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=None):
         point=at_x0,
         sigma=sigma,
         t=0,
-        rng=np.random.default_rng(cfg.seed),
+        sampler=Sampler(np.random.default_rng(cfg.seed)),
         batch_size=min(cfg.batch_size, p.N),
         window=deque(maxlen=window),
     )

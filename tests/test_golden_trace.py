@@ -28,7 +28,6 @@ from sr2kit import problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
 from sr2kit.errors import NumericalFailureError
 from sr2kit.problems import (
-    ALL,
     LeastSquares,
     Logistic,
     Sampler,
@@ -417,26 +416,27 @@ def test_small_proxsgd_runs(run_args):
 
 class Counting:
     """Counts the evaluation path: gathers of sampled rows, forward and
-    backward passes on a sample or on the whole data set (read in place)."""
+    backward passes (the model and its gradient) on a sample or on the
+    whole data set, whose rows are the stored A itself."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls = Counter()
 
-    def _where(self, rows):
-        return "full" if np.shares_memory(rows[0], self.A) else "sample"
+    def _where(self, Ai):
+        return "full" if Ai is self.A else "sample"
 
     def _rows(self, idx):
-        self.calls["full_rows" if idx is ALL else "gather"] += 1
+        self.calls["gather"] += 1
         return super()._rows(idx)
 
-    def _forward(self, x, rows):
-        self.calls[self._where(rows) + "_forward"] += 1
-        return super()._forward(x, rows)
+    def _model(self, x, Ai):
+        self.calls[self._where(Ai) + "_forward"] += 1
+        return super()._model(x, Ai)
 
-    def _backward(self, fwd, rows):
-        self.calls[self._where(rows) + "_backward"] += 1
-        return super()._backward(fwd, rows)
+    def _model_grad(self, cache, dout, Ai):
+        self.calls[self._where(Ai) + "_backward"] += 1
+        return super()._model_grad(cache, dout, Ai)
 
 
 class CountingLeastSquares(Counting, LeastSquares):
@@ -476,7 +476,7 @@ def test_full_batch_gradient_once_per_iterate(lasso_instance, index_checks):
     assert p.calls["gather"] == p.calls["sample_forward"] == 0
     assert index_checks["check"] == 0
     fresh = np.random.default_rng(cfg.seed).bit_generator.state
-    assert res.state.rng.bit_generator.state == fresh
+    assert res.state.sampler.rng.bit_generator.state == fresh
 
 
 def counted(monkeypatch, module, name):
@@ -630,7 +630,7 @@ def test_full_batch_baseline_evaluates_each_iterate_once(
     assert p.calls["gather"] == p.calls["sample_forward"] == 0
     assert draws["draw_sample"] == index_checks["check"] == 0
     fresh = np.random.default_rng(cfg.seed).bit_generator.state
-    assert res.state.rng.bit_generator.state == fresh
+    assert res.state.sampler.rng.bit_generator.state == fresh
 
 
 def test_rng_untouched_after_batch_reaches_n():
@@ -639,15 +639,16 @@ def test_rng_untouched_after_batch_reaches_n():
                        assumption_check="full", kappa_m=1e-4)
     state = SolverState(point=sr2._Point(np.zeros(6), p.n),
                         sigma=cfg.sigma0, t=0,
-                        rng=np.random.default_rng(cfg.seed), batch_size=1,
+                        sampler=Sampler(np.random.default_rng(cfg.seed)),
+                        batch_size=1,
                         window=deque(maxlen=cfg.window))
     while state.batch_size < p.N:
         sr2_step(p, Zero(), state, cfg)
-    snapshot = state.rng.bit_generator.state
+    snapshot = state.sampler.rng.bit_generator.state
     for _ in range(50):
         rec = sr2_step(p, Zero(), state, cfg)
         assert rec.batch_size == p.N
-    assert state.rng.bit_generator.state == snapshot
+    assert state.sampler.rng.bit_generator.state == snapshot
 
 
 def logistic_problem():

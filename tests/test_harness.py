@@ -708,8 +708,7 @@ def test_cell_score_is_full_value_and_accuracy_bitwise(kind, seed, point):
         assert acc is None
     else:
         assert acc == diagnostics.accuracy(p, x)
-        fwd = p.sample(problems.ALL).forward(x)
-        assert p._margins_of(fwd).tobytes() == p.margins(x).tobytes()
+        assert p.full.forward(x)[1].tobytes() == p.margins(x).tobytes()
 
 
 def test_one_accuracy_pass_per_distinct_model(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sr2kit import problems
 from sr2kit.errors import ParseError
 from sr2kit.problems import (
-    ALL,
     Dataset,
     LeastSquares,
     Logistic,
@@ -330,7 +329,9 @@ class TestSampling:
                                  replace=False))
         if shuffle:
             idx = rng.permutation(idx)
-        f, g = p.sample(idx)._value_and_grad(x)
+        sample = p.sample(idx)
+        fwd = sample.forward(x)
+        f, g = sample.value_of(fwd), sample.grad_of(fwd)
         assert f == p.sampled_value(x, idx) == p.sample(idx).value(x)
         assert g.tobytes() == p.sampled_grad(x, idx).tobytes()
         f_ref, g_ref = explicit_value_and_grad(p, x, np.sort(idx))
@@ -398,7 +399,7 @@ class TestSampling:
 
     def test_sample_checks_point_every_call(self):
         p = LeastSquares(np.eye(3), np.zeros(3))
-        for sample in (p.sample([0, 2]), p.sample(ALL)):
+        for sample in (p.sample([0, 2]), p.full):
             for bad in ([np.nan, 0.0, 0.0], np.zeros(2)):
                 with pytest.raises(ValueError):
                     sample.value(bad)
@@ -407,7 +408,7 @@ class TestSampling:
 
     def test_full_sample_reads_data_in_place(self):
         p = make_logistic(np.random.default_rng(3), 20, 4)
-        A_all, y_all = p.sample(ALL).rows
+        A_all, y_all = p.full.rows
         assert np.shares_memory(A_all, p.A) and np.shares_memory(y_all, p.y)
         A_i, _ = p.sample([1, 5]).rows
         assert not np.shares_memory(A_i, p.A)
@@ -598,8 +599,31 @@ def test_generator_rejects_a_non_finite_scalar(kind, value):
 @pytest.mark.parametrize("N,n", [(0, 3), (10, 0), (-1, 3)])
 @pytest.mark.parametrize("kind", GENERATORS)
 def test_generator_rejects_an_empty_size(kind, N, n):
-    with pytest.raises(ValueError, match="N and n must be positive"):
+    size = "N" if N <= 0 else "n"
+    with pytest.raises(ValueError, match=f"{size} must be >= 1"):
         GENERATORS[kind](N, n, 0.0)
+
+
+@pytest.mark.parametrize("N,n,size", [(10.5, 3, "N"), (10, 3.0, "n"),
+                                      (True, 3, "N")], ids=str)
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_rejects_a_non_integer_size(kind, N, n, size):
+    # a float size fails here, not as a numpy TypeError while drawing
+    with pytest.raises(ValueError, match=f"{size} must be an integer"):
+        GENERATORS[kind](N, n, 0.0)
+
+
+@pytest.mark.parametrize("support_size,message", [
+    (-1, "support_size must be >= 0"),
+    (2.5, "support_size must be an integer"),
+    (True, "support_size must be an integer")], ids=str)
+def test_sparse_recovery_rejects_a_bad_support_size_before_drawing(
+        support_size, message):
+    rng = np.random.default_rng(0)
+    fresh = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        make_sparse_recovery(rng, 10, 5, support_size)
+    assert rng.bit_generator.state == fresh
 
 
 def test_regression_problem_has_no_margins():
@@ -610,8 +634,39 @@ def test_regression_problem_has_no_margins():
 
 @pytest.mark.parametrize("hidden", [0, -2])
 def test_mlp_without_hidden_units_rejected(hidden):
-    with pytest.raises(ValueError, match="hidden must be positive"):
+    with pytest.raises(ValueError, match="hidden must be >= 1"):
         TinyMLP(np.eye(3), np.zeros(3), hidden=hidden)
+
+
+@pytest.mark.parametrize("hidden", [2.5, True, 2.0], ids=str)
+def test_mlp_hidden_must_be_an_integer(hidden):
+    # int(hidden) would build 2 hidden units from 2.5, and 1 from True
+    with pytest.raises(ValueError, match="hidden must be an integer"):
+        TinyMLP(np.eye(4), np.zeros(4), hidden=hidden)
+
+
+@pytest.mark.parametrize("cls,y", [(LeastSquares, [0.5, -2.0, 3.0]),
+                                   (Logistic, [1.0, -1.0, 1.0])],
+                         ids=["least_squares", "logistic"])
+def test_construction_keeps_the_data_and_computes_nothing(cls, y):
+    # a C-ordered float design and float targets are stored as they are,
+    # and L_bound waits for its first read: constructing a problem does no
+    # O(N n) work
+    A = np.arange(12, dtype=float).reshape(3, 4)
+    y = np.array(y)
+    p = cls(A, y)
+    assert np.shares_memory(p.A, A) and np.shares_memory(p.y, y)
+    assert "L_bound" not in vars(p)
+
+
+@pytest.mark.parametrize("make,default", [
+    (lambda **kw: LeastSquares(np.eye(2), np.zeros(2), **kw), "least_squares"),
+    (lambda **kw: Logistic(np.eye(2), np.ones(2), **kw), "logistic"),
+    (lambda **kw: TinyMLP(np.eye(2), np.zeros(2), 1, **kw), "tiny_mlp")],
+    ids=["least_squares", "logistic", "tiny_mlp"])
+def test_problem_name_defaults_to_its_kind(make, default):
+    assert make().name == default
+    assert make(name="mine").name == "mine"
 
 
 class TestLoaders:

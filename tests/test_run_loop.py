@@ -417,8 +417,9 @@ def public_names(tree):
 def test_no_exported_name_is_test_only():
     # a public module-level name, in __all__ or not, or a public method or
     # property of a class, that only the tests use is test code shipped in
-    # src/; ROADMAP item 1 (the sigma cap and the scaled stationarity
-    # measure) decides whether these two stay
+    # src/; ROADMAP item 1 (the sigma cap) gives sigma_succ_bound a
+    # reader, and item 10 (a stationarity measure at the returned x) gives
+    # stationarity_surrogate one or removes it
     pending = {"sigma_succ_bound", "stationarity_surrogate"}
     package = Path(sr2kit.__file__).parent
     root = Path(__file__).parent.parent

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sr2kit.baselines import BaselineConfig
 from sr2kit.problems import (
     LeastSquares,
+    Sampler,
     TinyMLP,
     make_least_squares,
     make_logistic,
@@ -230,7 +231,7 @@ def test_state_holds_the_iterate_once():
     res = run(p, Zero(), np.array([1.0]), full_batch_cfg(max_iter=1))
     state = res.state
     assert [f.name for f in dataclasses.fields(state)] == [
-        "point", "sigma", "t", "rng", "batch_size", "window", "stop"]
+        "point", "sigma", "t", "sampler", "batch_size", "window", "stop"]
     assert state.x is state.point.x is res.x
     with pytest.raises(AttributeError):
         state.x = np.zeros(1)
@@ -243,7 +244,8 @@ class TestSingleStep:
         p = quadratic_1d()
         cfg = full_batch_cfg(max_iter=1)
         state = SolverState(point=_Point(np.array([1.0]), p.n), sigma=1.0,
-                            t=0, rng=np.random.default_rng(0), batch_size=1,
+                            t=0, sampler=Sampler(np.random.default_rng(0)),
+                            batch_size=1,
                             window=deque(maxlen=cfg.window))
         rec = sr2_step(p, Zero(), state, cfg)
         assert rec.step_norm_sq == pytest.approx(1.0)
@@ -264,7 +266,8 @@ class TestSingleStep:
         assert np.max(np.abs(g0)) < lam
         cfg = full_batch_cfg(max_iter=1)
         state = SolverState(point=_Point(np.zeros(5), p.n), sigma=1.0,
-                            t=0, rng=np.random.default_rng(0), batch_size=20,
+                            t=0, sampler=Sampler(np.random.default_rng(0)),
+                            batch_size=20,
                             window=deque(maxlen=cfg.window))
         rec = sr2_step(p, L1(lam), state, cfg)
         assert rec.step_norm_sq == 0.0
@@ -313,6 +316,26 @@ class TestRun:
                 assert r.rho >= cfg.eta1
             if r.step_norm_sq > 0:
                 assert r.model_decrease >= 0.5 * r.sigma_used * r.step_norm_sq - 1e-12
+
+    def test_infinite_objective_increase_rejects_with_rho_zero(self):
+        # at sigma = 1e-300 the step s = 1/sigma overflows f(x + s) to inf:
+        # Delta F = -inf against a finite model decrease, so rho is 0 (not
+        # -inf or NaN), the step is rejected and sigma grows by gamma1
+        p = LeastSquares(np.ones((1, 1)), np.ones(1))
+        cfg = SolverConfig(batch_size=1, sigma0=1e-300, sigma_min=1e-300,
+                           max_iter=3)
+        with np.errstate(over="ignore"):  # ||s||^2 and f(x + s) overflow
+            res = run(p, Zero(), np.zeros(1), cfg)
+        assert len(res.trace) == 3
+        for rec in res.trace:
+            assert rec.F_sampled_after == math.inf
+            assert math.isfinite(rec.model_decrease) and rec.model_decrease > 0
+            assert rec.rho == 0.0
+            assert rec.accepted is False
+        sigmas = [rec.sigma_used for rec in res.trace]
+        assert sigmas == [1e-300, cfg.gamma1 * 1e-300,
+                          cfg.gamma1 * (cfg.gamma1 * 1e-300)]
+        np.testing.assert_array_equal(res.x, [0.0])
 
     def test_rejection_leaves_x_bitwise_unchanged(self):
         rng = np.random.default_rng(3)
