@@ -1,9 +1,12 @@
 """Drive a full experiment grid from a YAML config.
 
 The harness expands problem x regularizer x solver x seed into cells,
-runs each one deterministically, and writes per-cell trace CSVs, model
-files, plot-ready .dat curves, and a summary.json.  The same entry
-points back the `sr2kit run / prune / report` command line.
+runs each one deterministically, and writes per cell a trace CSV (whose
+F and sigma columns are the convergence curves), a model file, the
+pruning curves as .dat files and a summary row, then a summary.json.
+Each file is written whole under a temporary name and renamed into
+place.  The same entry points back the `sr2kit run / prune / report`
+command line.
 """
 
 import json
@@ -57,6 +60,6 @@ print("  ...")
 
 # summary.json holds the same rows, each also saved as run_<cell>.json;
 # `sr2kit report --out DIR` writes summary.json again from those files
-rows = json.load(open(out / "summary.json"))
+rows = json.loads((out / "summary.json").read_text())
 print(f"\nsummary.json rows: {len(rows)}")
 print("equivalent CLI: sr2kit run --config config.yaml --out results/")

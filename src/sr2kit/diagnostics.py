@@ -1,6 +1,5 @@
-"""Post-hoc measurement: magnitude pruning, sparsity tables, classifier
-accuracy, and a computable upper bound on the distance to first-order
-stationarity at the post-step point."""
+"""Post-hoc measurement: magnitude pruning, sparsity tables and classifier
+accuracy."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ __all__ = [
     "sparsity_report",
     "accuracy",
     "accuracy_of_margins",
-    "stationarity_surrogate",
     "DEFAULT_PRUNE_THRESHOLDS",
 ]
 
@@ -76,17 +74,3 @@ def accuracy_of_margins(margins, labels):
     over N, so the bits of np.mean(pred == labels)."""
     return 100.0 * (np.count_nonzero((margins >= 0.0) == (labels > 0.0))
                     / labels.size)
-
-
-def stationarity_surrogate(p, x, g, s, sigma):
-    """|| grad f(x+s) - g - sigma s || with the full gradient.
-
-    At a shifted-prox step s this bounds the distance from 0 to the
-    Frechet subdifferential of the composite objective at x + s; logging
-    it periodically gives an audit-grade stationarity certificate even in
-    stochastic runs.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return float(np.linalg.norm(p.full_grad(x + s) - g - sigma * s))

@@ -2,10 +2,11 @@
 
 A YAML config describes one problem, a regularizer grid, a solver grid and
 a list of seeds; run_experiments executes every (solver, regularizer,
-seed) cell, writing per-cell trace CSVs, model files, pruning sweeps and
+seed) cell, writing per-cell trace CSVs, model files, pruning curves and
 summary rows (run_<cell>.json, failed cells included), plus summary.json,
-which rebuild_summary writes again from the saved rows.  All outputs are
-deterministic functions of (config, seeds) except the wall-time column.
+which rebuild_summary writes again from the saved rows.  Each file is
+written whole or not at all, by _write.  All outputs are deterministic
+functions of (config, seeds) except the wall-time column.
 
 L, for a baseline's alpha: auto (1/L) or SR2's kappa_m: auto under the
 guard, is computed at most once per run, in the parent, before any cell
@@ -228,6 +229,10 @@ def parse_config(path):
     if min(run["seeds"]) < 0:
         raise ParseError(f"run.seeds must be >= 0, got {min(run['seeds'])}")
     _check_low("run", run, (("batch_size", 1), ("max_iter", 0), ("epochs", 0)))
+    for i, alpha in enumerate(run["prune_thresholds"]):
+        if not 0 < alpha < math.inf:
+            raise ParseError(f"run.prune_thresholds[{i}] must be positive "
+                             f"and finite, got {alpha}")
     if run["max_iter"] is not None and run["epochs"] is not None:
         raise ParseError("run takes max_iter or epochs, not both")
 
@@ -252,8 +257,7 @@ def _copy_config(config_path, out_dir, seeds):
     if (raw.get("run") or {}).get("seeds", _RUN["seeds"]) != seeds:
         raw["run"] = {**(raw.get("run") or {}), "seeds": seeds}
         text = yaml.safe_dump(raw, sort_keys=False).encode()
-    with open(os.path.join(out_dir, "config.yaml"), "wb") as fh:
-        fh.write(text)
+    _write(os.path.join(out_dir, "config.yaml"), text)
 
 
 def build_problem(spec):
@@ -261,10 +265,13 @@ def build_problem(spec):
     reads it (seeded by gen_seed, independent of the solver seeds)."""
     prob = spec.problem
     kind = prob["kind"]
-    if kind in ("data_least_squares", "data_logistic"):
-        ds = _load_dataset(prob)
-        cls = problems.Logistic if kind == "data_logistic" else problems.LeastSquares
-        return cls(ds.features, ds.targets, name=f"{prob['format']}:{prob['data']}")
+    if "data" in prob:
+        try:
+            return _data_problem(prob)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read data {prob['data']}: {exc}") from None
+        except ValueError as exc:  # a malformed line, or values the problem rejects
+            raise ParseError(f"data {prob['data']}: {exc}") from None
     rng = np.random.default_rng(prob["gen_seed"])
     if kind == "least_squares":
         return problems.make_least_squares(rng, prob["N"], prob["n"],
@@ -272,20 +279,19 @@ def build_problem(spec):
     if kind == "logistic":
         return problems.make_logistic(rng, prob["N"], prob["n"],
                                       separation=prob["separation"])
-    if kind == "sparse_recovery":
-        return problems.make_sparse_recovery(
-            rng, prob["N"], prob["n"], prob["support_size"],
-            noise_sd=prob["noise_sd"]).problem
-    return problems.make_tiny_mlp(rng, _load_dataset(prob), prob["hidden"],
-                                  task=prob["task"])
+    return problems.make_sparse_recovery(
+        rng, prob["N"], prob["n"], prob["support_size"],
+        noise_sd=prob["noise_sd"]).problem
 
 
-def _load_dataset(prob):
+def _data_problem(prob):
     load = problems.load_libsvm if prob["format"] == "libsvm" else problems.load_csv
-    try:
-        return load(prob["data"])
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read data {prob['data']}: {exc}") from None
+    ds = load(prob["data"])
+    if prob["kind"] == "mlp":
+        return problems.make_tiny_mlp(np.random.default_rng(prob["gen_seed"]),
+                                      ds, prob["hidden"], task=prob["task"])
+    cls = problems.Logistic if prob["kind"] == "data_logistic" else problems.LeastSquares
+    return cls(ds.features, ds.targets, name=f"{prob['format']}:{prob['data']}")
 
 
 def _reg_tag(reg):
@@ -308,21 +314,34 @@ def _fmt(v):
     return str(v)
 
 
+def _write(path, data):
+    """data, bytes or lines (each ended with a newline), as the file at
+    path, whole or not at all: it is written under a temporary name beside
+    path and then renamed to it, so an interrupted write leaves no partial
+    file under a final name.  The one place that opens a file for writing."""
+    if not isinstance(data, bytes):
+        data = "".join(f"{line}\n" for line in data).encode()
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_trace_csv(path, trace):
-    with open(path, "w") as fh:
-        fh.write(f"# {TRACE_SCHEMA}\n")
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for rec in trace:  # IterationRecord's fields are TRACE_COLUMNS
-            fh.write(",".join(_fmt(v) for v in vars(rec).values()) + "\n")
+    # IterationRecord's fields are TRACE_COLUMNS
+    _write(path, [f"# {TRACE_SCHEMA}", ",".join(TRACE_COLUMNS),
+                  *(",".join(map(_fmt, vars(rec).values())) for rec in trace)])
 
 
 def save_model(path, x):
     """Flat parameter list with a dimension header."""
     x = np.asarray(x, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"{x.size}\n")
-        for v in x:
-            fh.write(f"{v:.17g}\n")
+    _write(path, [x.size, *(f"{v:.17g}" for v in x)])
 
 
 def load_model(path):
@@ -413,8 +432,7 @@ def _prune_sweep(p, x, acc, thresholds):
 
 #: the output files of a cell, by its name
 _CELL_FILES = ("run_{}.json", "trace_{}.csv", "model_{}.txt",
-               "prune_sparsity_{}.dat", "prune_accuracy_{}.dat",
-               "objective_{}.dat", "sigma_{}.dat")
+               "prune_sparsity_{}.dat", "prune_accuracy_{}.dat")
 
 
 def _remove_cell_files(out_dir, cell):
@@ -436,7 +454,7 @@ def _cell_job(spec, p, solver, reg, seed, out_dir):
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
         f, acc = _objective_and_accuracy(p, result.x)
         sweep = _prune_sweep(p, result.x, acc, spec.prune_thresholds)
-        emit_plot_data(out_dir, cell, result.trace, sweep)
+        emit_plot_data(out_dir, cell, sweep)
         row = _summary_row(p, solver, reg, seed, result, f, acc, sweep)
     except Exception as exc:  # record, keep going
         _remove_cell_files(out_dir, cell)
@@ -527,27 +545,17 @@ def _write_summary(out_dir, spec, summary):
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
-def emit_plot_data(out_dir, cell, trace, sweep):
-    """Two-column text files: pruning curves and convergence series."""
-    with open(os.path.join(out_dir, f"prune_sparsity_{cell}.dat"), "w") as fh:
-        for alpha, sparsity, _ in sweep:
-            fh.write(f"{alpha:.17g} {sparsity:.17g}\n")
+def emit_plot_data(out_dir, cell, sweep):
+    """The pruning curves as two-column text files: sparsity, and accuracy
+    when the sweep has it, against the threshold."""
+    _write(os.path.join(out_dir, f"prune_sparsity_{cell}.dat"),
+           [f"{alpha:.17g} {sparsity:.17g}" for alpha, sparsity, _ in sweep])
     if any(acc is not None for _, _, acc in sweep):
-        with open(os.path.join(out_dir, f"prune_accuracy_{cell}.dat"), "w") as fh:
-            for alpha, _, acc in sweep:
-                fh.write(f"{alpha:.17g} {acc:.17g}\n")
-    with open(os.path.join(out_dir, f"objective_{cell}.dat"), "w") as fh:
-        for rec in trace:
-            F = rec.F_full if rec.F_full is not None else rec.F_sampled_before
-            fh.write(f"{rec.t} {F:.17g}\n")
-    with open(os.path.join(out_dir, f"sigma_{cell}.dat"), "w") as fh:
-        for rec in trace:
-            fh.write(f"{rec.t} {rec.sigma_used:.17g}\n")
+        _write(os.path.join(out_dir, f"prune_accuracy_{cell}.dat"),
+               [f"{alpha:.17g} {acc:.17g}" for alpha, _, acc in sweep])
 
 
 def rebuild_summary(out_dir):

@@ -534,7 +534,7 @@ def load_csv(path):
                 )
             rows.append([_parse_float(t, lineno) for t in toks])
     if not rows:
-        raise ParseError(f"no data rows in {path}")
+        raise ParseError("no data rows")
     data = np.array(rows)
     return Dataset(features=data[:, :-1], targets=data[:, -1])
 
@@ -566,7 +566,7 @@ def load_libsvm(path, n_features=None):
                 max_idx = max(max_idx, idx)
             entries.append(row)
     if not labels:
-        raise ParseError(f"no data rows in {path}")
+        raise ParseError("no data rows")
     d = n_features if n_features is not None else max_idx
     if max_idx > d:
         raise ParseError(f"index {max_idx} exceeds declared dimension {d}")

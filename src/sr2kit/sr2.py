@@ -378,10 +378,13 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=None):
         window=deque(maxlen=window),
     )
     trace = []
-    for _ in range(cfg.max_iter):
-        trace.append(step(p, reg, state, cfg))
-        if state.stop:
-            break
+    # a step that overflows ||s||^2 or f(x + s) is rejected by design
+    # (rho = 0), not an error; a NaN or non-finite point still raises
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.max_iter):
+            trace.append(step(p, reg, state, cfg))
+            if state.stop:
+                break
     state.stop = state.stop or "budget"
     return RunResult(x=state.x, trace=trace, stop_reason=state.stop, state=state)
 

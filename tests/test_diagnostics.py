@@ -1,4 +1,4 @@
-"""Pruning, sparsity reports, accuracy, stationarity surrogate."""
+"""Pruning, sparsity reports, accuracy."""
 
 import numpy as np
 import pytest
@@ -11,17 +11,13 @@ from sr2kit.diagnostics import (
     accuracy_of_margins,
     prune,
     sparsity_report,
-    stationarity_surrogate,
 )
 from sr2kit.errors import UnsupportedMetricError
 from sr2kit.problems import (
-    LeastSquares,
     TinyMLP,
     make_least_squares,
     make_logistic,
 )
-from sr2kit.regularizers import L1, Zero, shifted_prox
-
 
 
 class TestPrune:
@@ -128,37 +124,6 @@ class TestAccuracy:
             accuracy(p, x)
         with pytest.raises(ValueError, match="non-finite point|expected shape"):
             p.margins(x)
-
-
-class TestStationaritySurrogate:
-    def test_quadratic_exact_after_one_step(self):
-        # f = 1/2||x||^2, sigma=1, Zero reg: s = -x, grad f(x+s) = 0 and
-        # g + sigma s = 0, so the surrogate vanishes
-        p = LeastSquares(np.eye(3), np.zeros(3))
-        # scale: full_value = (1/2N)||x||^2; use sigma matching its curvature
-        x = np.array([1.0, -2.0, 0.5])
-        g = p.full_grad(x)
-        sigma = 1.0 / 3.0  # curvature of (1/2N)||x||^2 with N = 3
-        st = shifted_prox(Zero(), x, g, sigma)
-        val = stationarity_surrogate(p, x, g, st.s, sigma)
-        assert val == pytest.approx(0.0, abs=1e-14)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(7)
-        p = make_least_squares(rng, 30, 6, 0.2)
-        x = rng.normal(size=6)
-        g = p.full_grad(x)
-        st = shifted_prox(L1(0.1), x, g, 2.0)
-        assert stationarity_surrogate(p, x, g, st.s, 2.0) >= 0.0
-
-    def test_small_at_lasso_optimum(self, lasso_instance):
-        A, b, lam = lasso_instance["A"], lasso_instance["b"], lasso_instance["lam"]
-        p = LeastSquares(A, b)
-        x_ref = lasso_instance["x_ref"]
-        g = p.full_grad(x_ref)
-        sigma = p.L_bound
-        st = shifted_prox(L1(lam), x_ref, g, sigma)
-        assert stationarity_surrogate(p, x_ref, g, st.s, sigma) <= 1e-6
 
 
 def test_pruning_at_tiny_threshold_preserves_accuracy():

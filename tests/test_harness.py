@@ -80,6 +80,11 @@ def write_config(tmp_path, text, name="exp.yaml"):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 class TestParseConfig:
     def test_basic(self, tmp_path):
         spec = harness.parse_config(write_config(tmp_path, BASIC_CONFIG))
@@ -193,6 +198,14 @@ class TestParseConfig:
          "problem.separation must be finite, got -inf"),
         (BASIC_CONFIG, "- 1\n", r"\[config\] must be a mapping"),
         ("seeds: [3]", "seeds: []", "run.seeds must be nonempty"),
+        ("max_iter: 60", "max_iter: 60\n  prune_thresholds: [-0.1, 0.01]",
+         r"run.prune_thresholds\[0\] must be positive and finite, got -0.1"),
+        ("max_iter: 60", "max_iter: 60\n  prune_thresholds: [0.01, 0]",
+         r"run.prune_thresholds\[1\] must be positive and finite, got 0.0"),
+        ("max_iter: 60", "max_iter: 60\n  prune_thresholds: [.nan, .inf]",
+         r"run.prune_thresholds\[0\] must be positive and finite, got nan"),
+        ("max_iter: 60", "max_iter: 60\n  prune_thresholds: [0.01, .inf]",
+         r"run.prune_thresholds\[1\] must be positive and finite, got inf"),
     ], ids=["logistic_noise_sd", "least_squares_separation",
             "least_squares_hidden", "least_squares_task", "unknown_kind",
             "logistic_without_N", "mlp_without_data", "N_float",
@@ -202,7 +215,9 @@ class TestParseConfig:
             "solver_seed", "solver_not_mapping", "max_iter_and_epochs",
             "repeated_seed", "regularizers_with_one_tag", "alpha_nan",
             "alpha_inf", "noise_sd_nan", "noise_sd_inf", "separation_nan",
-            "separation_inf", "config_not_mapping", "seeds_empty"])
+            "separation_inf", "config_not_mapping", "seeds_empty",
+            "prune_threshold_negative", "prune_threshold_zero",
+            "prune_threshold_nan", "prune_threshold_inf"])
     def test_config_error_is_parse_error_before_any_run(
             self, tmp_path, capsys, old, new, match):
         # every key is one that the code reads, and every value has its
@@ -333,6 +348,32 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"sr2kit: cannot read data {data}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem,rows,error", [
+        ("kind: data_logistic", "1.5,0\n-0.5,1\n", "labels must be in {-1, +1}"),
+        ("kind: data_least_squares", "1.5,0.2\nnan,1\n",
+         "dataset contains non-finite entries"),
+        ("kind: mlp\n  task: classification", "1.5,0\n-0.5,1\n",
+         "labels must be in {-1, +1}"),
+        ("kind: data_least_squares", "1.5,0.2\n1,x\n",
+         "line 2: not a number: 'x'"),
+        ("kind: data_logistic", "", "no data rows"),
+    ], ids=["logistic_labels_01", "nan_entry", "mlp_classification_labels_01",
+            "malformed_line", "no_rows"])
+    def test_bad_data_file_exits_2_before_any_output(
+            self, tmp_path, capsys, problem, rows, error):
+        # a file that reads but holds values the problem refuses is a data
+        # error as much as one that cannot be read: one line naming the
+        # file, status 2
+        data = tmp_path / "d.csv"
+        data.write_text(rows)
+        cfg_path = write_config(tmp_path,
+                                f"problem:\n  {problem}\n  data: {data}\n")
+        out_dir = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg_path,
+                         "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
+        assert capsys.readouterr().err == f"sr2kit: data {data}: {error}\n"
 
     def test_values_read_by_type(self, tmp_path):
         cfg = (BASIC_CONFIG.replace("lam: 0.05", "lam: 1e-4")
@@ -473,12 +514,11 @@ class TestRunExperiments:
         assert len(summary) == 1
         row = summary[0]
         cell = row["cell"]
-        assert os.path.exists(os.path.join(out, f"trace_{cell}.csv"))
-        assert os.path.exists(os.path.join(out, f"model_{cell}.txt"))
-        assert os.path.exists(os.path.join(out, f"prune_sparsity_{cell}.dat"))
-        assert os.path.exists(os.path.join(out, f"objective_{cell}.dat"))
-        assert os.path.exists(os.path.join(out, f"sigma_{cell}.dat"))
-        assert os.path.exists(os.path.join(out, "summary.json"))
+        # a regression problem has no accuracy curve
+        assert sorted(os.listdir(out)) == sorted([
+            "config.yaml", "summary.json", f"run_{cell}.json",
+            f"trace_{cell}.csv", f"model_{cell}.txt",
+            f"prune_sparsity_{cell}.dat"])
         assert len(row["prune_sweep"]) == 8
         required = {"solver", "reg", "lambda", "seed", "final_objective",
                     "accuracy", "pct_zero", "pct_below_1e-3", "stop_reason",
@@ -541,8 +581,8 @@ class TestRunExperiments:
         for row in ran:
             acc_file = os.path.join(out, f"prune_accuracy_{row['cell']}.dat")
             assert os.path.exists(acc_file)
-            lines = open(acc_file).read().splitlines()
-            assert len(lines) == 8
+            with open(acc_file) as fh:
+                assert len(fh.read().splitlines()) == 8
         skipped = [r for r in summary if r.get("skipped")]
         assert len(skipped) == 1  # proxsgd x l0
 
@@ -796,8 +836,7 @@ class TestCli:
         out_dir = str(tmp_path / "o")
         cli.main(["run", "--config", cfg_path, "--out", out_dir,
                   "--seed-override", "11"])
-        summary = json.load(open(os.path.join(out_dir, "summary.json")))
-        assert summary[0]["seed"] == 11
+        assert read_json(os.path.join(out_dir, "summary.json"))[0]["seed"] == 11
 
     def test_seed_override_ends_with_its_run(self, tmp_path):
         cfg_path = write_config(tmp_path, BASIC_CONFIG)
@@ -811,11 +850,11 @@ class TestCli:
         out_dir = str(tmp_path / "o")
         assert cli.main(["run", "--config", cfg_path, "--out", out_dir,
                          "--seed-override", "11"]) == 0
-        ran = json.load(open(os.path.join(out_dir, "summary.json")))
+        ran = read_json(os.path.join(out_dir, "summary.json"))
         assert harness.parse_config(
             os.path.join(out_dir, "config.yaml")).seeds == [11]
         assert cli.main(["report", "--out", out_dir]) == 0
-        rebuilt = json.load(open(os.path.join(out_dir, "summary.json")))
+        rebuilt = read_json(os.path.join(out_dir, "summary.json"))
         keys = ("cell", "final_objective", "pct_zero")
         assert [[r[k] for k in keys] for r in rebuilt] == \
             [[r[k] for k in keys] for r in ran]
@@ -932,10 +971,12 @@ run:
 """
 
 
-def assert_same_outputs(out1, out2):
-    """Same files with the same contents, trace wall_time aside."""
-    names = sorted(os.listdir(out1))
-    assert names == sorted(os.listdir(out2))
+def assert_same_outputs(out1, out2, names=None):
+    """Same files with the same contents, trace wall_time aside; or, given
+    names, out2 holds those files only, as out1 has them."""
+    if names is None:
+        names = os.listdir(out1)
+    assert sorted(names) == sorted(os.listdir(out2))
     drop = [harness.TRACE_COLUMNS.index(c)
             for c in NONDETERMINISTIC_COLUMNS]
     for name in names:
@@ -1170,7 +1211,7 @@ class TestReport:
         assert cli.main(["run", "--config", write_config(tmp_path, text),
                          "--out", out]) == 0
         row = os.path.join(out, "run_sr2_l1_0.01_s1.json")
-        assert json.load(open(row))["iterations"] == 20
+        assert read_json(row)["iterations"] == 20
         run_cell = harness._run_cell
 
         def interrupted(spec, p, solver, reg, seed):
@@ -1187,6 +1228,36 @@ class TestReport:
         assert capsys.readouterr().err == \
             f"sr2kit: no run_sr2_l1_0.01_s1.json in {out}; cannot rebuild\n"
         assert not os.path.exists(row)
+
+
+    def test_interrupted_trace_write_leaves_no_partial_file(
+            self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C while the second cell's trace is written, at its sixth
+        # row: no file is left under that trace's name or a temporary one,
+        # and every file there is whole, as an uninterrupted run writes it
+        cfg = write_config(tmp_path, RERUN_CONFIG.format(max_iter=20))
+        whole, out = str(tmp_path / "whole"), str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg, "--out", whole]) == 0
+        run_cell = harness._run_cell
+
+        def interrupted(spec, p, solver, reg, seed):
+            result = run_cell(spec, p, solver, reg, seed)
+            if seed == 1:
+                rows = result.trace
+
+                def rows_then_interrupt():
+                    yield from rows[:5]
+                    raise KeyboardInterrupt
+
+                result.trace = rows_then_interrupt()
+            return result
+
+        monkeypatch.setattr(harness, "_run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", "--config", cfg, "--out", out])
+        capsys.readouterr()
+        assert_same_outputs(whole, out, ["config.yaml"] + [
+            name.format("sr2_l1_0.01_s0") for name in harness._CELL_FILES])
 
 
 class TestJobsOption:

@@ -366,7 +366,7 @@ def test_every_problem_key_is_read():
     read = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in (
-                "build_problem", "_load_dataset"):
+                "build_problem", "_data_problem"):
             read |= {sub.slice.value for sub in ast.walk(node)
                      if isinstance(sub, ast.Subscript)
                      and isinstance(sub.value, ast.Name)
@@ -417,10 +417,8 @@ def public_names(tree):
 def test_no_exported_name_is_test_only():
     # a public module-level name, in __all__ or not, or a public method or
     # property of a class, that only the tests use is test code shipped in
-    # src/; ROADMAP item 1 (the sigma cap) gives sigma_succ_bound a
-    # reader, and item 10 (a stationarity measure at the returned x) gives
-    # stationarity_surrogate one or removes it
-    pending = {"sigma_succ_bound", "stationarity_surrogate"}
+    # src/; ROADMAP item 1 (the sigma cap) gives sigma_succ_bound a reader
+    pending = {"sigma_succ_bound"}
     package = Path(sr2kit.__file__).parent
     root = Path(__file__).parent.parent
     exported, read = set(), set()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -320,11 +321,13 @@ class TestRun:
     def test_infinite_objective_increase_rejects_with_rho_zero(self):
         # at sigma = 1e-300 the step s = 1/sigma overflows f(x + s) to inf:
         # Delta F = -inf against a finite model decrease, so rho is 0 (not
-        # -inf or NaN), the step is rejected and sigma grows by gamma1
+        # -inf or NaN), the step is rejected and sigma grows by gamma1;
+        # the overflows of ||s||^2 and f(x + s) that give it warn of nothing
         p = LeastSquares(np.ones((1, 1)), np.ones(1))
         cfg = SolverConfig(batch_size=1, sigma0=1e-300, sigma_min=1e-300,
                            max_iter=3)
-        with np.errstate(over="ignore"):  # ||s||^2 and f(x + s) overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = run(p, Zero(), np.zeros(1), cfg)
         assert len(res.trace) == 3
         for rec in res.trace:
@@ -455,3 +458,38 @@ class TestRun:
         res = run(p, L1(0.05), np.zeros(8), cfg)
         accepted_norms = [r.step_norm_sq for r in res.trace if r.accepted]
         assert list(res.state.window) == accepted_norms[-10:]
+
+
+class TestExactTies:
+    """The first step of 1/2 (x - 1)^2 from x = 0 at sigma = 1, full batch:
+    s = 1, so ||s||^2 = 1, f(x + s) - f(x) - g^T s = 0.5 and rho = 0.5
+    exactly.  Each test puts one threshold on that tie, which the rule
+    decides with >= (or <=, or not >) and so the other way if flipped."""
+
+    @staticmethod
+    def first_step(max_iter=1, **kw):
+        p = LeastSquares(np.ones((1, 1)), np.ones(1))
+        res = run(p, Zero(), np.zeros(1),
+                  SolverConfig(batch_size=1, sigma0=1.0, max_iter=max_iter, **kw))
+        rec = res.trace[0]
+        assert (rec.rho, rec.step_norm_sq) == (0.5, 1.0)
+        return res, rec
+
+    def test_rho_at_eta1_is_accepted_and_holds_sigma(self):
+        res, rec = self.first_step(eta1=0.5)
+        assert rec.accepted
+        assert res.state.sigma == 1.0
+
+    def test_rho_at_eta2_shrinks_sigma(self):
+        res, rec = self.first_step(eta1=0.5, eta2=0.5)
+        assert rec.accepted
+        assert res.state.sigma == 0.8
+
+    def test_window_mean_at_epsilon_squared_stops(self):
+        res, _ = self.first_step(max_iter=5, epsilon=1.0, window=1)
+        assert (res.stop_reason, len(res.trace)) == ("stationarity", 1)
+
+    def test_guard_gap_at_kappa_m_is_no_rejection(self):
+        _, rec = self.first_step(assumption_check="full", kappa_m=0.5)
+        assert not rec.assumption_rejected
+        assert rec.accepted
