@@ -5,9 +5,9 @@ interpolated proximal SG, with momentum and preconditioning disabled
 proxgen_step and proxsgd_step are the two update rules alone: they take x
 and a sampled gradient g and draw and evaluate nothing.  run_proxgen and
 run_proxsgd call one of them at alpha = step_size(t) in SR2's run loop and
-step (sr2._drive, sr2._step, which lists how the traces differ).  No step
-sets a stop or adds to the window, and the batch size is fixed, so a run
-takes every step and uses its whole budget.
+step (sr2._drive, sr2._step, which lists how the traces differ).  A step
+stops the run only on a non-finite new point, adds nothing to the window
+and keeps the batch size, so a run that does not diverge uses its budget.
 """
 
 from __future__ import annotations
@@ -91,10 +91,14 @@ def _update(stepper, p, reg, state, cfg, sample, f, g, r_x):
     x_new, step = stepper(reg, x, g, cfg.step_size(state.t + 1), r_x)
     s = x_new - x
     step_norm_sq = float(s.dot(s))
-    new = _Point(x_new, p.n, step_norm_sq)
     F_full = (state.point.value(p.full) + r_x
               if cfg.record_full_objective else None)
     state.sigma = 1.0 / cfg.step_size(state.t + 2)
+    if not step_norm_sq < np.inf and not np.isfinite(x_new).all():
+        state.stop = "non_finite"  # as in sr2._sr2_verdict
+        return (None, np.nan, step_norm_sq, np.nan, F_full,
+                step.model_decrease, False)
+    new = _Point(x_new, p.n, step_norm_sq)
     return (new, np.nan, step_norm_sq, new.value(sample) + new.reg_value(reg),
             F_full, step.model_decrease, False)
 

@@ -31,10 +31,10 @@ class SparsityReport:
 
 
 def prune(x, alpha):
-    """Zero every weight with |x_i| <= alpha; returns (x_pruned, fraction
-    of entries zeroed)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """Zero every weight with |x_i| <= alpha, a positive finite threshold;
+    returns (x_pruned, fraction of entries zeroed)."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x = np.asarray(x, dtype=float)
     mask = np.abs(x) <= alpha
     out = x.copy()
@@ -43,22 +43,15 @@ def prune(x, alpha):
 
 
 def sparsity_report(x, thresholds=DEFAULT_PRUNE_THRESHOLDS):
-    x = np.asarray(x, dtype=float)
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
-    n = x.size
-    absx = np.abs(x)
-    pct_below = {
-        float(t): 100.0 * float(np.count_nonzero(absx <= t)) / n
-        for t in thresholds
-    }
-    nnz = int(np.count_nonzero(x))
-    return SparsityReport(
-        pct_exact_zero=100.0 * (n - nnz) / n,
-        pct_below=pct_below,
-        nnz=nnz,
-        n=n,
-    )
+    """The zeros of x, and its entries at most each positive finite
+    threshold in magnitude, as percentages."""
+    if not all(0 < t < np.inf for t in thresholds):
+        raise ValueError("thresholds must be positive and finite")
+    absx = np.abs(np.asarray(x, dtype=float))
+    n, nnz = absx.size, int(np.count_nonzero(absx))
+    pct_below = {float(t): 100.0 * float(np.count_nonzero(absx <= t)) / n
+                 for t in thresholds}
+    return SparsityReport(100.0 * (n - nnz) / n, pct_below, nnz, n)
 
 
 def accuracy(p, x):

@@ -20,14 +20,6 @@ class UnsupportedMetricError(SR2Error, ValueError):
     classification accuracy on a regression instance)."""
 
 
-class NumericalFailureError(SR2Error, RuntimeError):
-    """A solver iteration produced non-finite quantities."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 class ParseError(SR2Error, ValueError):
     """A data or config file could not be parsed."""
 

@@ -25,7 +25,7 @@ import types
 import typing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -95,7 +95,12 @@ class ExperimentSpec:
     max_iter: int | None
     epochs: int | None
     prune_thresholds: tuple[float, ...]
-    skipped: list = field(default_factory=list)  # (solver, reg tag) pairs
+
+    @property
+    def skipped(self):
+        """(solver, reg tag) pairs not run: proxsgd with a nonconvex regularizer."""
+        return [("proxsgd", _reg_tag(reg)) for reg in self.regularizers
+                if "proxsgd" in self.solvers and not reg.convex]
 
 
 def _read(where, value, tp):
@@ -242,9 +247,6 @@ def parse_config(path):
         solvers, regs, spec.seeds)).most_common(1)
     if count > 1:
         raise ParseError(f"cell {name} appears {count} times in the grid")
-    # proxsgd cannot run nonconvex regularizers; drop those cells up front
-    if "proxsgd" in solvers:
-        spec.skipped = [("proxsgd", _reg_tag(reg)) for reg in regs if not reg.convex]
     return spec
 
 
@@ -452,10 +454,11 @@ def _cell_job(spec, p, solver, reg, seed, out_dir):
         result = _run_cell(spec, p, solver, reg, seed)
         write_trace_csv(os.path.join(out_dir, f"trace_{cell}.csv"), result.trace)
         save_model(os.path.join(out_dir, f"model_{cell}.txt"), result.x)
-        f, acc = _objective_and_accuracy(p, result.x)
-        sweep = _prune_sweep(p, result.x, acc, spec.prune_thresholds)
+        with np.errstate(over="ignore", invalid="ignore"):  # f(x) may be inf
+            f, acc = _objective_and_accuracy(p, result.x)
+            sweep = _prune_sweep(p, result.x, acc, spec.prune_thresholds)
+            row = _summary_row(p, solver, reg, seed, result, f, acc, sweep)
         emit_plot_data(out_dir, cell, sweep)
-        row = _summary_row(p, solver, reg, seed, result, f, acc, sweep)
     except Exception as exc:  # record, keep going
         _remove_cell_files(out_dir, cell)
         row = {"solver": solver, "reg": _reg_tag(reg), "seed": seed,

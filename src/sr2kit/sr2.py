@@ -44,6 +44,10 @@ nonnegative terms is at least each term.  A full-batch run also stops, on
 sigma changes after it, and in exact arithmetic ||s|| does not grow with
 sigma, so every later step is zero too (R2's sigma ||s|| is already 0).
 
+A step whose new point (SR2's x + s, a baseline's x') is not finite, or
+whose Delta F is NaN, ends the run on "non_finite": it is recorded as not
+accepted, with the values that ended it, and x stays the last finite one.
+
 A baseline's record differs from SR2's in sigma_used (1/alpha), the new
 point (its x', always accepted), step_norm_sq (||x' - x||^2, not ||s||^2),
 F_sampled_after (with R(x') from the new _Point, which the next step
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleAnchorError, NumericalFailureError
+from .errors import InfeasibleAnchorError
 from .problems import Sampler, _check_count, _check_point
 from .regularizers import Regularizer, reg_value, shifted_prox
 
@@ -200,7 +204,7 @@ class IterationRecord:
 class RunResult:
     x: np.ndarray
     trace: list
-    stop_reason: str            # "stationarity" | "zero_step" | "budget"
+    stop_reason: str            # "stationarity" | "zero_step" | "non_finite" | "budget"
     state: SolverState
 
 
@@ -296,8 +300,15 @@ def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
     x = at_x.x
     step = shifted_prox(reg, x, g, state.sigma, r_x)
     F_before = f_before + r_x
+    F_full = None
+    if cfg.rho_mode == "full" or cfg.record_full_objective:
+        F_full = at_x.value(p.full) + r_x
     s = step.s
     step_norm_sq = float(s.dot(s))
+    if not step_norm_sq < math.inf and not np.isfinite(x + s).all():
+        state.stop = "non_finite"  # x_i + s_i overflows only if s_i^2 does
+        return (None, math.nan, step_norm_sq, math.nan, F_full,
+                step.model_decrease, False)
     # the trial point is checked as it is made, by its norm
     trial = (_Point(x + s, p.n, step_norm_sq)
              if step_norm_sq != 0.0 else None)
@@ -317,10 +328,6 @@ def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
             step_norm_sq = 0.0
             state.batch_size = min(2 * state.batch_size, p.N)
 
-    F_full = None
-    if cfg.rho_mode == "full" or cfg.record_full_objective:
-        F_full = at_x.value(p.full) + r_x
-
     if assumption_rejected or step_norm_sq == 0.0:
         rho = 0.0
         F_after = F_before
@@ -336,10 +343,9 @@ def _sr2_verdict(p, reg, state, cfg, sample, f_before, g, r_x):
             delta_F = F_before - F_after
         if not math.isfinite(delta_F):
             if math.isnan(delta_F):
-                raise NumericalFailureError(
-                    "non-finite sampled objective", iteration=state.t
-                )
-            rho = 0.0  # extended arithmetic: infinite decrease ratio -> 0
+                state.stop, rho = "non_finite", math.nan  # rho rejects the step
+            else:
+                rho = 0.0  # extended arithmetic: infinite decrease ratio -> 0
         elif delta_psi == 0.0 or not math.isfinite(delta_psi):
             rho = 0.0
         else:
@@ -378,9 +384,9 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=None):
         window=deque(maxlen=window),
     )
     trace = []
-    # a step that overflows ||s||^2 or f(x + s) is rejected by design
-    # (rho = 0), not an error; a NaN or non-finite point still raises
-    with np.errstate(over="ignore"):
+    # an overflow in ||s||^2 or f(x + s) rejects the step (rho = 0), and a
+    # non-finite new point or a NaN Delta F ends the run: neither warns
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.max_iter):
             trace.append(step(p, reg, state, cfg))
             if state.stop:
@@ -391,6 +397,6 @@ def _drive(p, reg: Regularizer, x0, cfg, step, sigma, window=None):
 
 def run(p, reg: Regularizer, x0, cfg: SolverConfig) -> RunResult:
     """Iterate sr2_step until the stationarity estimate drops below
-    epsilon^2, a full-batch step is zero, or the iteration budget runs
-    out."""
+    epsilon^2, a full-batch step is zero, the run diverges, or the
+    iteration budget runs out."""
     return _drive(p, reg, x0, cfg, sr2_step, cfg.sigma0, cfg.window)

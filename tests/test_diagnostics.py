@@ -49,6 +49,12 @@ class TestPrune:
         with pytest.raises(ValueError):
             prune([1.0], 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, alpha):
+        # NaN would prune nothing and inf everything, each with no error
+        with pytest.raises(ValueError, match="positive and finite"):
+            prune([1.0, 1e-4], alpha)
+
     def test_default_sweep_is_ten_powers(self):
         assert DEFAULT_PRUNE_THRESHOLDS == tuple(10.0 ** -k for k in range(1, 9))
 
@@ -77,6 +83,12 @@ class TestSparsityReport:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             sparsity_report([1.0], thresholds=[-1.0])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_threshold(self, t):
+        # a NaN threshold would report 0% below it, with no error
+        with pytest.raises(ValueError, match="positive and finite"):
+            sparsity_report([1.0], thresholds=(1e-3, t))
 
 
 class TestAccuracy:

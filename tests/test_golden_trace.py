@@ -7,11 +7,11 @@ test_problems checks on its own), evaluate every quantity
 through the public, checked oracles (sampled_grad, sampled_value,
 full_value) and keep nothing from one step to the next.  The SR2 reference
 stops where the package does: on the window, at a full-batch zero step
-that is not a guard rejection, or at the budget.  The solvers'
-lean paths (one sample whose drawn indices are not checked, one forward
-pass per point, each point checked once when it is made, no draw at full
-batch, values reused across rejected steps) must give bitwise the same
-trace and iterate.
+that is not a guard rejection, at a NaN Delta F, or at the budget.  The
+solvers' lean paths (one sample whose drawn indices are not checked, one
+forward pass per point, each point checked once when it is made, no draw
+at full batch, values reused across rejected steps) must give bitwise the
+same trace and iterate.
 """
 
 from collections import Counter, deque
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from sr2kit import problems, sr2
 from sr2kit.baselines import BaselineConfig, run_proxgen, run_proxsgd
-from sr2kit.errors import NumericalFailureError
 from sr2kit.problems import (
     LeastSquares,
     Logistic,
@@ -93,8 +92,8 @@ def reference_step(p, reg, state, cfg):
         else:
             delta_F = F_before - F_after
         if np.isnan(delta_F):
-            raise NumericalFailureError("non-finite sampled objective")
-        if (not np.isfinite(delta_F) or delta_psi == 0.0
+            rho = np.nan  # rejected, and the run stops on "non_finite"
+        elif (not np.isfinite(delta_F) or delta_psi == 0.0
                 or not np.isfinite(delta_psi)):
             rho = 0.0
         else:
@@ -137,6 +136,8 @@ def reference_run(p, reg, x0, cfg, zero_step_stop=True):
     for _ in range(cfg.max_iter):
         trace.append(reference_step(p, reg, state, cfg))
         if zero_step_stop and is_zero_step(p, trace[-1]):
+            break
+        if np.isnan(trace[-1]["rho"]):
             break
         est = stationarity_estimate(state.window)
         if est is not None and est <= cfg.epsilon**2:

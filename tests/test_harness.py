@@ -1,13 +1,17 @@
 """Experiment harness: config parsing, matrix runs, outputs, CLI."""
 
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
 import os
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,6 +127,28 @@ class TestParseConfig:
         cells = harness.plan_cells(spec)
         assert not any(s == "proxsgd" and str(r).startswith("l0(")
                        for s, r, _ in cells)
+
+    def test_skipped_follows_from_the_grid(self, tmp_path):
+        # a spec built in code skips what the parsed config skips, and
+        # writes the same summary; skipped cannot be set
+        cfg_path = write_config(tmp_path, CLASSIFICATION_CONFIG)
+        parsed = harness.parse_config(cfg_path)
+        built = harness.ExperimentSpec(
+            problem={"kind": "logistic", "N": 60, "n": 6, "gen_seed": 2,
+                     "separation": 1.0},
+            regularizers=[L1(0.01), L0(0.01)],
+            solvers={"sr2": {}, "proxgen": {}, "proxsgd": {}},
+            seeds=[0, 1], batch_size=16, max_iter=None, epochs=3,
+            prune_thresholds=diagnostics.DEFAULT_PRUNE_THRESHOLDS)
+        assert built.skipped == parsed.skipped == [("proxsgd", "l0_0.01")]
+        with pytest.raises(AttributeError):
+            built.skipped = []
+        written = []
+        for spec, out in ((parsed, tmp_path / "parsed"),
+                          (built, tmp_path / "built")):
+            harness.run_experiments(spec, str(out))
+            written.append((out / "summary.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_empty_regularizer_grid(self, tmp_path):
         bad = BASIC_CONFIG.replace(
@@ -1082,6 +1108,126 @@ class TestFailingCell:
             if "sr2" in name:
                 with open(os.path.join(out, name), "rb") as fh:
                     assert fh.read() == before[name], name
+
+
+#: a proxgen step 1e3 times the step 1/L of a lasso, which diverges, and
+#: a proxsgd alpha out of its range, which fails
+DIVERGING_CELL_CONFIG = """\
+problem:
+  kind: least_squares
+  N: 40
+  n: 6
+  gen_seed: 1
+regularizers:
+  - kind: l1
+    lam: 0.01
+  - kind: l0
+    lam: 0.01
+solvers:
+  sr2: {}
+  proxgen: {alpha: 1000.0}
+run:
+  seeds: [0]
+  batch_size: 8
+  max_iter: 200
+"""
+
+
+def run_cli(config_path, out, jobs):
+    """`sr2kit run` at --jobs jobs; returns its exit status."""
+    return cli.main(["run", "--config", config_path, "--out", str(out),
+                     "--jobs", str(jobs)])
+
+
+class TestDivergingCell:
+    def test_is_a_finished_cell(self, tmp_path):
+        # the cell writes its trace, model and row, as any finished cell
+        # does, at --jobs 1 as at --jobs 2, and run exits 0
+        cfg_path = write_config(tmp_path, DIVERGING_CELL_CONFIG)
+        outs = [str(tmp_path / f"jobs{j}") for j in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert run_cli(cfg_path, out, jobs) == 0
+        assert_same_outputs(*outs)
+        out, cell = outs[0], "proxgen_l1_0.01_s0"
+        row = read_json(os.path.join(out, f"run_{cell}.json"))
+        assert row["stop_reason"] == "non_finite"
+        assert row["final_objective"] == math.inf
+        cols, rows = read_trace_csv(os.path.join(out, f"trace_{cell}.csv"))
+        assert len(rows) == row["iterations"] < 200
+        last = dict(zip(cols, rows[-1]))
+        assert last["accepted"] == "0"
+        assert last["step_norm_sq"] in ("inf", "nan")
+        x = harness.load_model(os.path.join(out, f"model_{cell}.txt"))
+        assert np.isfinite(x).all()
+        summary = os.path.join(out, "summary.json")
+        with open(summary, "rb") as fh:
+            written = fh.read()
+        assert cli.main(["report", "--out", out]) == 0
+        with open(summary, "rb") as fh:
+            assert fh.read() == written
+
+
+def test_jobs_2_writes_the_same_files_under_every_start_method(
+        tmp_path, monkeypatch):
+    # the problem reaches each worker pickled under spawn and forkserver,
+    # not inherited as under fork; a failing and a diverging cell cross
+    # the process boundary as the others do
+    cfg_path = write_config(tmp_path, DIVERGING_CELL_CONFIG.replace(
+        "run:", "  proxsgd: {alpha: 2.0}\nrun:"))
+    assert run_cli(cfg_path, tmp_path / "jobs1", 1) == 1
+    for method in ("spawn", "forkserver"):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+        assert run_cli(cfg_path, tmp_path / method, 2) == 1
+        assert_same_outputs(str(tmp_path / "jobs1"), str(tmp_path / method))
+    rows = read_json(tmp_path / "jobs1" / "summary.json")
+    assert [r["cell"] for r in rows if "error" in r] == ["proxsgd_l1_0.01_s0"]
+    assert [r["stop_reason"] for r in rows if r.get("solver") == "proxgen"] \
+        == ["non_finite", "non_finite"]
+
+
+@st.composite
+def small_grids(draw):
+    """A config of a small least-squares or logistic grid: one to three
+    regularizers, some of the three solvers, proxsgd's alpha sometimes
+    out of range (a failing cell) and, on least squares, proxgen's alpha
+    sometimes 1e3 (a diverging cell), one or two seeds."""
+    kind = draw(st.sampled_from(["least_squares", "logistic"]))
+    regs = draw(st.lists(st.sampled_from([
+        {"kind": "l1", "lam": 0.01}, {"kind": "l0", "lam": 0.01},
+        {"kind": "l0ball", "k": 2}]), min_size=1, max_size=3,
+        unique_by=lambda reg: reg["kind"]))
+    names = draw(st.lists(st.sampled_from(["sr2", "proxgen", "proxsgd"]),
+                          min_size=1, max_size=3, unique=True))
+    solvers = {name: {} for name in names}
+    if "proxsgd" in solvers and draw(st.booleans()):
+        solvers["proxsgd"]["alpha"] = 2.0
+    if kind == "least_squares" and "proxgen" in solvers and draw(st.booleans()):
+        solvers["proxgen"]["alpha"] = 1e3
+    return {"problem": {"kind": kind, "N": draw(st.integers(1, 60)),
+                        "n": draw(st.integers(1, 8)),
+                        "gen_seed": draw(st.integers(0, 9))},
+            "regularizers": regs, "solvers": solvers,
+            "run": {"seeds": draw(st.sampled_from([[0], [0, 1]])),
+                    "batch_size": draw(st.integers(1, 16)),
+                    "max_iter": draw(st.integers(5, 200))}}
+
+
+@settings(max_examples=10, deadline=None)
+@given(small_grids())
+def test_jobs_1_jobs_2_and_report_agree(tmp_path_factory, config):
+    # the same files (wall_time aside) and exit status at --jobs 1 and 2,
+    # failing and diverging cells included, and report rewrites
+    # summary.json byte for byte
+    tmp = tmp_path_factory.mktemp("grid")
+    cfg_path = write_config(tmp, yaml.safe_dump(config, sort_keys=False))
+    statuses = [run_cli(cfg_path, tmp / f"jobs{j}", j) for j in (1, 2)]
+    assert statuses[0] == statuses[1]
+    assert_same_outputs(str(tmp / "jobs1"), str(tmp / "jobs2"))
+    summary = tmp / "jobs2" / "summary.json"
+    written = summary.read_bytes()
+    assert cli.main(["report", "--out", str(tmp / "jobs2")]) == 0
+    assert summary.read_bytes() == written
 
 
 def write_overflowing_data(tmp_path):

@@ -75,13 +75,14 @@ class TestBoundary:
                                            config_class, options):
         # x0 is finite, but a_i x0 overflows on every row, whichever rows
         # the step draws, so the gradient and the step do: the point the
-        # step makes fails its check
+        # step would make is not finite, and the run stops there, at x0
         problem = LeastSquares(10.0 + np.abs(problem.A), problem.y)
         x0 = np.full(problem.n, 1e307)
         with np.errstate(all="ignore"):
             assert np.isposinf(problem.A @ x0).all()
-            with pytest.raises(ValueError, match="non-finite"):
-                solver(problem, L1(0.1), x0, config(config_class, options))
+        res = solver(problem, L1(0.1), x0, config(config_class, options))
+        assert_stopped_on_non_finite(res, x0)
+        assert np.isposinf(res.trace[-1].F_sampled_before)
 
     def test_zero_budget(self, problem, solver, config_class, options):
         x0 = np.ones(problem.n)
@@ -210,19 +211,45 @@ def test_point_whose_step_norm_overflows_is_made(
     assert np.isfinite(res.x).all()
 
 
+def assert_stopped_on_non_finite(res, x_before, value=None):
+    """res stopped on "non_finite" at its last step, which is recorded as
+    rejected, with its non-finite ||s||^2 (value, if given), and left x at
+    x_before, the last iterate before it."""
+    assert res.stop_reason == "non_finite"
+    assert len(res.trace) == res.state.t
+    assert res.x.tobytes() == np.asarray(x_before, dtype=float).tobytes()
+    last = res.trace[-1]
+    assert not last.accepted
+    assert not np.isfinite(last.step_norm_sq)
+    if value is not None:
+        np.testing.assert_equal(last.step_norm_sq, value)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("solver,config_class,options", SOLVERS)
 def test_non_finite_new_point_raises(problem, monkeypatch, point_checks,
                                      solver, config_class, options, value):
-    # ||s||^2 is NaN or inf, so the new point gets the full check, which
-    # it fails
-    monkeypatch.setattr(Zero, "prox_target",
-                        lambda self, u, sigma: np.full_like(u, value))
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match="non-finite point"):
-        solver(problem, Zero(), np.zeros(problem.n),
-               config(config_class, options, max_iter=3))
-    assert point_checks == ["full", "fallback", "full"]
+    # the third step's ||s||^2 is NaN or inf and so is its new point: the
+    # run stops there, at the iterate of a run of two steps, and the point
+    # is not made
+    prox_target = Zero.prox_target
+    steps = []
+
+    def third_not_finite(self, u, sigma):
+        steps.append(1)
+        if len(steps) == 3:
+            return np.full_like(u, value)
+        return prox_target(self, u, sigma)
+
+    monkeypatch.setattr(Zero, "prox_target", third_not_finite)
+    before = solver(problem, Zero(), np.zeros(problem.n),
+                    config(config_class, options, max_iter=2))
+    del steps[:], point_checks[:]
+    res = solver(problem, Zero(), np.zeros(problem.n),
+                 config(config_class, options, max_iter=5))
+    assert len(res.trace) == 3
+    assert_stopped_on_non_finite(res, before.x, value)
+    assert "fallback" not in point_checks
 
 
 @st.composite
@@ -285,12 +312,29 @@ def test_drive_stops_where_the_mean_after_every_accepted_step_stops(args,
 
 
 def test_nan_step_raises_value_error(problem, monkeypatch):
-    # a NaN in s makes ||s||^2 NaN; the trial point is still made, and
-    # fails its check
+    # a NaN in s makes ||s||^2 NaN and the trial point NaN: the first
+    # step ends the run, at x0
     monkeypatch.setattr(L1, "prox_target", lambda self, u, sigma: u * np.nan)
-    with pytest.raises(ValueError, match="non-finite"):
-        run(problem, L1(0.1), np.zeros(problem.n),
-            config(SolverConfig, {}, max_iter=5))
+    res = run(problem, L1(0.1), np.zeros(problem.n),
+              config(SolverConfig, {}, max_iter=5))
+    assert len(res.trace) == 1
+    assert_stopped_on_non_finite(res, np.zeros(problem.n), np.nan)
+
+
+@pytest.mark.parametrize("rho_mode", ["sampled", "full"])
+def test_nan_objective_change_stops_on_non_finite(problem, rho_mode):
+    # f overflows to inf at x0 and at the finite trial point x0 + s, so
+    # Delta F = inf - inf is NaN: the step is rejected and ends the run
+    x0 = np.full(problem.n, 1e200)
+    res = run(problem, L1(0.1), x0,
+              config(SolverConfig, {"rho_mode": rho_mode}, max_iter=5))
+    assert res.stop_reason == "non_finite"
+    assert len(res.trace) == res.state.t == 1
+    assert res.x.tobytes() == x0.tobytes()
+    [last] = res.trace
+    assert not last.accepted and np.isnan(last.rho)
+    assert np.isposinf(last.F_sampled_before)
+    assert np.isposinf(last.F_sampled_after)
 
 
 def test_baseline_state_sigma_is_next_inverse_step_size(problem):

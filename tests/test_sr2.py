@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sr2kit.baselines import BaselineConfig
+from sr2kit.baselines import BaselineConfig, run_proxgen
 from sr2kit.problems import (
     LeastSquares,
     Sampler,
@@ -225,6 +225,21 @@ def test_sigma0_sweep_reaches_the_ista_gap(lasso_instance, c):
     F = lasso_objective(inst["A"], inst["b"], inst["lam"], res.x)
     assert res.stop_reason != "budget"
     assert (F - inst["F_ref"]) / abs(inst["F_ref"]) <= 1e-6
+
+
+@pytest.mark.parametrize("c,steps", [(1e-3, 103), (1e-2, 155), (0.1, 322)])
+def test_proxgen_past_the_lipschitz_step_stops_on_non_finite(lasso_instance,
+                                                             c, steps):
+    # ProxGEN's side of the sweep above: at alpha = 1/(c L), c <= 0.1, the
+    # full-batch run diverges and stops where its new point would not be
+    # finite, keeping its last finite iterate (see the README)
+    inst = lasso_instance
+    p = LeastSquares(inst["A"], inst["b"])
+    cfg = BaselineConfig(alpha=1.0 / (c * p.L_bound), batch_size=p.N,
+                         max_iter=20_000)
+    res = run_proxgen(p, L1(inst["lam"]), np.zeros(p.n), cfg)
+    assert (res.stop_reason, len(res.trace)) == ("non_finite", steps)
+    assert np.isfinite(res.x).all() and not res.trace[-1].accepted
 
 
 def test_state_holds_the_iterate_once():
